@@ -17,8 +17,8 @@ from .errors import (AccuracyError, BdmError, ConfigError, ContourError,
                      SearchFailureError, StiffnessError)
 from .lft import Block4, connector, in_class_A4, moebius, verify_lft_relation
 from .odecore import (BasisEndpoints, CauchyData, FundamentalEval,
-                      SolutionEvaluator, basis_endpoints, char_det,
-                      fundamental_system, map_over_z, propagate, wronskian)
+                      basis_endpoints, char_det, fundamental_system,
+                      map_over_z, propagate, wronskian)
 from .potential import (PotentialSpec, closed_form_f, closed_form_g,
                         eval_potential, oracle_bdmap_zero, oracle_green_zero,
                         sqrt_upper, transfer_matrix_piecewise)
@@ -30,5 +30,4 @@ from .spectrum import (SpectrumResult, count_zeros_rectangle, eig_rectangle,
 from .traces import (AnglePair, AngleQuad, diag_cos, diag_sin,
                      normalize_strip, quad, trace_gamma)
 from .verify import IdentityResult, run_suite
-from .weyl import (ReferenceFrame, WTMatrix, green_link_check, interior_m,
-                   wt_m, wt_m_frames, wt_matrix)
+from .weyl import WTMatrix, green_link_check, interior_m, wt_m, wt_matrix

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, EigenvalueHitError
 from .odecore import (DEFAULT_TOL, FundamentalEval, delta_from_fs,
-                      fundamental_system, is_near_eigenvalue)
+                      is_near_eigenvalue, solution)
 from .potential import PotentialSpec, sqrt_upper
 from .traces import AnglePair, AngleQuad, angles_mod_pi_zero, diag_sin
 
@@ -63,7 +63,7 @@ def bdmap_general(V: PotentialSpec, R: float, quad: AngleQuad, z: complex,
                   tol: float = DEFAULT_TOL) -> BoundaryDataMap:
     """The map sending the (theta0,thetaR)-trace of a solution to its
     (theta0',thetaR')-trace, as a 2x2 matrix."""
-    fs = fundamental_system(V, z, R, tol)
+    fs = solution(V, z, tol).fs
     return BoundaryDataMap(lambda_from_fs(fs, R, quad, tol), z, quad)
 
 
@@ -89,14 +89,14 @@ def m_functions_from_fs(fs: FundamentalEval, R: float, pair: AnglePair,
 def m_plus(V: PotentialSpec, R: float, theta0: complex, thetaR: complex,
            z: complex, tol: float = DEFAULT_TOL) -> complex:
     """m+ = (-sin(theta0) + cos(theta0) u+'(z,0)) / (cos(theta0) + sin(theta0) u+'(z,0))."""
-    fs = fundamental_system(V, z, R, tol)
+    fs = solution(V, z, tol).fs
     return m_functions_from_fs(fs, R, AnglePair(theta0, thetaR), tol)[0]
 
 
 def m_minus(V: PotentialSpec, R: float, theta0: complex, thetaR: complex,
             z: complex, tol: float = DEFAULT_TOL) -> complex:
     """m- = (sin(thetaR) + cos(thetaR) u-'(z,R)) / (cos(thetaR) - sin(thetaR) u-'(z,R))."""
-    fs = fundamental_system(V, z, R, tol)
+    fs = solution(V, z, tol).fs
     return m_functions_from_fs(fs, R, AnglePair(theta0, thetaR), tol)[1]
 
 

@@ -14,6 +14,11 @@ distinguished basis u-, u+ (boundary condition at 0 resp. R, unit value at
 the opposite endpoint) has closed endpoint data in terms of Delta values:
 no second solve and no boundary-value iteration is needed.
 
+Everything at one (V, z, tol) derives from one Solution: the sweep, and per
+angle pair the u-, u+ endpoint data and interior tables.  solution() keeps
+the last Solution only, so consecutive calls at the same (V, z, tol) share
+it and distinct problems never do.
+
 Interior knots of piecewise potentials are forced step boundaries so the
 integrator keeps its order across jumps of V.
 """
@@ -21,6 +26,7 @@ integrator keeps its order across jumps of V.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -215,8 +221,7 @@ def char_det(V: PotentialSpec, z: complex, theta0: complex, thetaR: complex,
              tol: float = DEFAULT_TOL) -> complex:
     """Characteristic determinant; zeros = eigenvalues of the Robin
     realization with angles (theta0, thetaR)."""
-    fs = fundamental_system(V, z, V.R, tol)
-    return delta_from_fs(fs, theta0, thetaR)
+    return delta_from_fs(solution(V, z, tol).fs, theta0, thetaR)
 
 
 def log_delta_scale(z: complex, R: float, theta0: complex = None,
@@ -269,33 +274,7 @@ def basis_endpoints(V: PotentialSpec, z: complex, theta0: complex,
 
     with u-(R) = u+(0) = 1 holding exactly by construction.
     """
-    fs = fundamental_system(V, z, V.R, tol)
-    return basis_endpoints_from_fs(fs, V.R, theta0, thetaR, tol)
-
-
-def basis_endpoints_from_fs(fs: FundamentalEval, R: float, theta0: complex,
-                            thetaR: complex,
-                            tol: float = DEFAULT_TOL) -> BasisEndpoints:
-    z = fs.z
-    d_minus = delta_from_fs(fs, theta0, 0.0)   # cos(theta0) phi(R) - sin(theta0) theta(R)
-    d_plus = delta_from_fs(fs, 0.0, thetaR)    # cos(thetaR) phi(R) - sin(thetaR) phi'(R)
-    for name, th0, thR, d in (("H_{theta0,0}", theta0, 0.0, d_minus),
-                              ("H_{0,thetaR}", 0.0, thetaR, d_plus)):
-        if is_near_eigenvalue(d, z, R, th0, thR, tol):
-            raise NearEigenvalueError(
-                f"z = {z} is numerically an eigenvalue of the auxiliary "
-                f"operator {name}; the u+/- normalization does not exist",
-                z=z, operator=name)
-    c0, s0 = cmath.cos(theta0), cmath.sin(theta0)
-    cR, sR = cmath.cos(thetaR), cmath.sin(thetaR)
-    um0 = CauchyData(-s0 / d_minus, c0 / d_minus, 0.0)
-    umR = CauchyData(d_minus / d_minus,
-                     (c0 * fs.dphi - s0 * fs.dtheta) / d_minus, R)
-    up0 = CauchyData(d_plus / d_plus,
-                     (sR * fs.dtheta - cR * fs.theta) / d_plus, 0.0)
-    upR = CauchyData(-sR / d_plus, -cR / d_plus, R)
-    return BasisEndpoints(uminus_at_0=um0, uminus_at_R=umR,
-                          uplus_at_0=up0, uplus_at_R=upR, z=z)
+    return solution(V, z, tol).basis(theta0, thetaR).endpoints
 
 
 def wronskian(basis: BasisEndpoints, rel_tol: float = 1e-7) -> complex:
@@ -311,41 +290,107 @@ def wronskian(basis: BasisEndpoints, rel_tol: float = 1e-7) -> complex:
     return w0
 
 
-class SolutionEvaluator:
-    """Cached interior evaluation of u-, u+ for one (V, z).
+class Solution:
+    """The forward sweep at one (V, z, tol) and the u-, u+ bases built on it,
+    one BasisView per angle pair asked for."""
 
-    u- is integrated rightward from 0 and u+ leftward from R: for
-    Im(sqrt(z)) > 0 each solution grows along its integration direction, so
-    the co-propagated complementary mode cannot swamp it.
-    """
-
-    def __init__(self, V: PotentialSpec, z: complex, theta0: complex,
-                 thetaR: complex, tol: float = DEFAULT_TOL):
+    def __init__(self, V: PotentialSpec, z: complex, tol: float):
         self.V = V
         self.z = z
         self.tol = tol
-        self.basis = basis_endpoints(V, z, theta0, thetaR, tol)
-        self._minus_cache = {0.0: self.basis.uminus_at_0,
-                             V.R: self.basis.uminus_at_R}
-        self._plus_cache = {0.0: self.basis.uplus_at_0,
-                            V.R: self.basis.uplus_at_R}
+        self.fs = fundamental_system(V, z, V.R, tol)
+        self._views = {}
+
+    def basis(self, theta0: complex, thetaR: complex) -> "BasisView":
+        view = self._views.get((theta0, thetaR))
+        if view is None:
+            view = self._views[(theta0, thetaR)] = BasisView(self, theta0, thetaR)
+        return view
+
+
+@functools.lru_cache(maxsize=1)
+def solution(V: PotentialSpec, z: complex, tol: float) -> Solution:
+    """The Solution of (V, z, tol).  Only the last one is kept, so calls
+    share a sweep when they are made one after another at the same
+    (V, z, tol), and never otherwise."""
+    return Solution(V, z, tol)
+
+
+class BasisView:
+    """u-, u+ of the (theta0, thetaR) realization at one (V, z, tol), and
+    the Green's function G(x, x') = u-(min) u+(max) / W built on them.
+
+    The tables hold u- and u+ from unit-size start data, (-sin theta0,
+    cos theta0) at 0 and (-sin thetaR, -cos thetaR) at R.  A new x is
+    propagated from the nearest tabulated point on the side the solution
+    grows from (rightward for u-, leftward for u+): for Im sqrt(z) > 0 the
+    complementary mode then decays and the relative step control holds.
+    Values are divided by Delta(theta0, 0) resp. Delta(0, thetaR) only on
+    output, which gives the normalization u-(R) = u+(0) = 1.
+    """
+
+    def __init__(self, sol: Solution, theta0: complex, thetaR: complex):
+        fs, R = sol.fs, sol.V.R
+        self.sol = sol
+        d_minus = delta_from_fs(fs, theta0, 0.0)   # cos(theta0) phi(R) - sin(theta0) theta(R)
+        d_plus = delta_from_fs(fs, 0.0, thetaR)    # cos(thetaR) phi(R) - sin(thetaR) phi'(R)
+        for name, th0, thR, d in (("H_{theta0,0}", theta0, 0.0, d_minus),
+                                  ("H_{0,thetaR}", 0.0, thetaR, d_plus)):
+            if is_near_eigenvalue(d, sol.z, R, th0, thR, sol.tol):
+                raise NearEigenvalueError(
+                    f"z = {sol.z} is numerically an eigenvalue of the auxiliary "
+                    f"operator {name}; the u+/- normalization does not exist",
+                    z=sol.z, operator=name)
+        c0, s0 = cmath.cos(theta0), cmath.sin(theta0)
+        cR, sR = cmath.cos(thetaR), cmath.sin(thetaR)
+        # sign -1: u-, sign +1: u+; the far endpoint comes from the sweep
+        self._scale = {-1: d_minus, 1: d_plus}
+        self._table = {
+            -1: {0.0: (-s0, c0), R: (d_minus, c0 * fs.dphi - s0 * fs.dtheta)},
+            1: {R: (-sR, -cR), 0.0: (d_plus, sR * fs.dtheta - cR * fs.theta)}}
+        self.endpoints = BasisEndpoints(
+            uminus_at_0=self._data(-1, 0.0), uminus_at_R=self._data(-1, R),
+            uplus_at_0=self._data(1, 0.0), uplus_at_R=self._data(1, R), z=sol.z)
+
+    def _data(self, sign: int, x: float) -> CauchyData:
+        table = self._table[sign]
+        hit = table.get(x)
+        if hit is None:
+            sol = self.sol
+            if not 0.0 <= x <= sol.V.R:
+                raise DomainError(f"x = {x} outside [0, {sol.V.R}]")
+            start = (max(k for k in table if k <= x) if sign < 0
+                     else min(k for k in table if k >= x))
+            hit = table[x] = _propagate_vec(sol.V, sol.z, start, table[start],
+                                            x, sol.tol)
+        d = self._scale[sign]
+        return CauchyData(hit[0] / d, hit[1] / d, x)
 
     def uminus(self, x: float) -> CauchyData:
-        hit = self._minus_cache.get(x)
-        if hit is None:
-            hit = propagate(self.V, self.z, self.basis.uminus_at_0, x, self.tol)
-            self._minus_cache[x] = hit
-        return hit
+        return self._data(-1, x)
 
     def uplus(self, x: float) -> CauchyData:
-        hit = self._plus_cache.get(x)
-        if hit is None:
-            hit = propagate(self.V, self.z, self.basis.uplus_at_R, x, self.tol)
-            self._plus_cache[x] = hit
-        return hit
+        return self._data(1, x)
 
-    def wronskian(self) -> complex:
-        return wronskian(self.basis)
+    @functools.cached_property
+    def w(self) -> complex:
+        return wronskian(self.endpoints)
+
+    def __call__(self, x: float, xp: float) -> complex:
+        lo, hi = (x, xp) if x <= xp else (xp, x)
+        return self.uminus(lo).u * self.uplus(hi).u / self.w
+
+    def d1(self, x: float, xp: float) -> complex:
+        """d/dx G on the wedge containing (x, xp); on the diagonal the
+        x < x' wedge is used."""
+        if x <= xp:
+            return self.uminus(x).du * self.uplus(xp).u / self.w
+        return self.uminus(xp).u * self.uplus(x).du / self.w
+
+    def d2(self, x: float, xp: float) -> complex:
+        if x <= xp:
+            return self.uminus(x).u * self.uplus(xp).du / self.w
+        return self.uminus(xp).du * self.uplus(x).u / self.w
 
 
 def map_over_z(fn, zs, jobs: int = 1):

@@ -104,6 +104,9 @@ class PotentialSpec:
     grid: tuple = ()
 
     def __post_init__(self):
+        # tuples keep the spec hashable: the solve memo is keyed by it
+        for name in ("breakpoints", "values", "grid"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.R <= 0.0 or not math.isfinite(self.R):
             raise DomainError("interval length R must be positive and finite")
         if self.kind == "zero":
@@ -251,28 +254,6 @@ def oracle_green_zero(z: complex, R: float, theta0: complex, thetaR: complex,
     _raise_if_free_eigenvalue(fr, z, R, theta0, thetaR)
     lo, hi = (x, xp) if x <= xp else (xp, x)
     return -_f_reduced(z, lo, theta0, 0.0) * _f_reduced(z, R - hi, 0.0, thetaR) / fr
-
-
-def oracle_wronskian_zero(z: complex, R: float, theta0: complex,
-                          thetaR: complex) -> complex:
-    """Exact Wronskian W(u+, u-) of the free problem."""
-    return -_f_reduced(z, R, theta0, thetaR) / (
-        _f_reduced(z, R, theta0, 0.0) * _f_reduced(z, R, 0.0, thetaR))
-
-
-def oracle_uplusminus_zero(z: complex, R: float, theta0: complex,
-                           thetaR: complex, x: float) -> tuple:
-    """Free-problem (u-, u-', u+, u+') at x, from the Example closed forms.
-
-    d/dx f(z,x,a,0) = -f(z,x,a,pi/2) and d/dx f(z,R-x,0,b) = f(z,R-x,pi/2,b).
-    """
-    fm = _f_reduced(z, R, theta0, 0.0)
-    fp = _f_reduced(z, R, 0.0, thetaR)
-    um = _f_reduced(z, x, theta0, 0.0) / fm
-    dum = -_f_reduced(z, x, theta0, math.pi / 2.0) / fm
-    up = _f_reduced(z, R - x, 0.0, thetaR) / fp
-    dup = _f_reduced(z, R - x, math.pi / 2.0, thetaR) / fp
-    return um, dum, up, dup
 
 
 def _piece_matrix(k2: complex, d: float) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bdmap import bdmap_general
 from .errors import DomainError
-from .odecore import DEFAULT_TOL, SolutionEvaluator
+from .odecore import DEFAULT_TOL, BasisView, solution
 from .potential import PotentialSpec
 from .traces import AnglePair, AngleQuad, trace_gamma
 
@@ -36,32 +36,9 @@ class GreenEval:
 
 
 def green_evaluator(V: PotentialSpec, R: float, pair: AnglePair, z: complex,
-                    tol: float = DEFAULT_TOL) -> "GreenKernel":
-    return GreenKernel(SolutionEvaluator(V, z, pair.theta0, pair.thetaR, tol))
-
-
-class GreenKernel:
+                    tol: float = DEFAULT_TOL) -> BasisView:
     """Pointwise Green's function of one Robin realization at fixed z."""
-
-    def __init__(self, sol: SolutionEvaluator):
-        self.sol = sol
-        self.w = sol.wronskian()
-
-    def __call__(self, x: float, xp: float) -> complex:
-        lo, hi = (x, xp) if x <= xp else (xp, x)
-        return self.sol.uminus(lo).u * self.sol.uplus(hi).u / self.w
-
-    def d1(self, x: float, xp: float) -> complex:
-        """d/dx G on the wedge containing (x, xp); on the diagonal the
-        x < x' wedge is used."""
-        if x < xp or (x == xp):
-            return self.sol.uminus(x).du * self.sol.uplus(xp).u / self.w
-        return self.sol.uminus(xp).u * self.sol.uplus(x).du / self.w
-
-    def d2(self, x: float, xp: float) -> complex:
-        if x < xp or (x == xp):
-            return self.sol.uminus(x).u * self.sol.uplus(xp).du / self.w
-        return self.sol.uminus(xp).du * self.sol.uplus(x).u / self.w
+    return solution(V, z, tol).basis(pair.theta0, pair.thetaR)
 
 
 def green(V: PotentialSpec, R: float, pair: AnglePair, z: complex, x: float,
@@ -74,15 +51,15 @@ def green(V: PotentialSpec, R: float, pair: AnglePair, z: complex, x: float,
     return GreenEval(k(x, xp), z, x, xp)
 
 
-def _trace_coeffs(sol: SolutionEvaluator, primed: AnglePair):
+def _trace_coeffs(view: BasisView, primed: AnglePair):
     """The two bracket coefficients shared by the trace-row kernels and the
     adjoint trace kernel:
 
         c0 = cos(theta0') u-(0) + sin(theta0') u-'(0)
         cR = cos(thetaR') u+(R) - sin(thetaR') u+'(R)
     """
-    um0 = sol.basis.uminus_at_0
-    upR = sol.basis.uplus_at_R
+    um0 = view.endpoints.uminus_at_0
+    upR = view.endpoints.uplus_at_R
     c0 = cmath.cos(primed.theta0) * um0.u + cmath.sin(primed.theta0) * um0.du
     cR = cmath.cos(primed.thetaR) * upR.u - cmath.sin(primed.thetaR) * upR.du
     return c0, cR
@@ -96,15 +73,15 @@ def gamma_resolvent_rows(V: PotentialSpec, R: float, pair: AnglePair,
     k1 is proportional to u+, k2 to u-; the proportionality factors vanish
     like sin(theta0'-theta0), sin(thetaR'-thetaR) as primed -> base.
     """
-    sol = SolutionEvaluator(V, z, pair.theta0, pair.thetaR, tol)
-    w = sol.wronskian()
-    c0, cR = _trace_coeffs(sol, primed)
+    view = green_evaluator(V, R, pair, z, tol)
+    w = view.w
+    c0, cR = _trace_coeffs(view, primed)
 
     def k1(xp: float) -> complex:
-        return c0 * sol.uplus(xp).u / w
+        return c0 * view.uplus(xp).u / w
 
     def k2(xp: float) -> complex:
-        return cR * sol.uminus(xp).u / w
+        return cR * view.uminus(xp).u / w
 
     return k1, k2
 
@@ -121,10 +98,10 @@ def gamma_row_coefficients(V: PotentialSpec, R: float, pair: AnglePair,
     theta_0 not in {pi/2, 3pi/2} the second is u-'(0)/cos(theta0); for the
     right endpoint -u+(R)/sin(thetaR) and -u+'(R)/cos(thetaR).
     """
-    sol = SolutionEvaluator(V, z, pair.theta0, pair.thetaR, tol)
-    c0, cR = _trace_coeffs(sol, primed)
-    um0 = sol.basis.uminus_at_0
-    upR = sol.basis.uplus_at_R
+    view = green_evaluator(V, R, pair, z, tol)
+    c0, cR = _trace_coeffs(view, primed)
+    um0 = view.endpoints.uminus_at_0
+    upR = view.endpoints.uplus_at_R
     forms0, formsR = [], []
     s0, c0a = cmath.sin(pair.theta0), cmath.cos(pair.theta0)
     sR, cRa = cmath.sin(pair.thetaR), cmath.cos(pair.thetaR)
@@ -145,12 +122,12 @@ def adjoint_trace_kernel(V: PotentialSpec, R: float, pair: AnglePair,
     """The function x -> ([conjugated-trace of adjoint resolvent]^* v)(x)
     = (c0 v1 u+(z,x) + cR v2 u-(z,x)) / W(z)."""
     v1, v2 = complex(v[0]), complex(v[1])
-    sol = SolutionEvaluator(V, z, pair.theta0, pair.thetaR, tol)
-    w = sol.wronskian()
-    c0, cR = _trace_coeffs(sol, primed)
+    view = green_evaluator(V, R, pair, z, tol)
+    w = view.w
+    c0, cR = _trace_coeffs(view, primed)
 
     def func(x: float) -> complex:
-        return (c0 * v1 * sol.uplus(x).u + cR * v2 * sol.uminus(x).u) / w
+        return (c0 * v1 * view.uplus(x).u + cR * v2 * view.uminus(x).u) / w
 
     return func
 
@@ -160,11 +137,12 @@ def lambda_times_s(V: PotentialSpec, R: float, quad: AngleQuad, z: complex,
     """gamma_{primed} applied to the adjoint-trace columns: assembles
     Lambda^{theta'}_{theta}(z) S_{theta'-theta} column by column, entirely
     from basis endpoint data (the resolvent-representation route)."""
-    sol = SolutionEvaluator(V, z, quad.base.theta0, quad.base.thetaR, tol)
-    w = sol.wronskian()
-    c0, cR = _trace_coeffs(sol, quad.primed)
-    up0, upR = sol.basis.uplus_at_0, sol.basis.uplus_at_R
-    um0, umR = sol.basis.uminus_at_0, sol.basis.uminus_at_R
+    view = green_evaluator(V, R, quad.base, z, tol)
+    w = view.w
+    c0, cR = _trace_coeffs(view, quad.primed)
+    be = view.endpoints
+    up0, upR = be.uplus_at_0, be.uplus_at_R
+    um0, umR = be.uminus_at_0, be.uminus_at_R
     gp_up = trace_gamma(quad.primed, (up0.u, up0.du, upR.u, upR.du))
     gp_um = trace_gamma(quad.primed, (um0.u, um0.du, umR.u, umR.du))
     out = np.empty((2, 2), dtype=complex)
@@ -209,9 +187,7 @@ def krein_kernel(V: PotentialSpec, R: float, pair: AnglePair,
     if same0 and sameR:
         return None
     quad = AngleQuad(pair, primed)
-    sol = SolutionEvaluator(V, z, pair.theta0, pair.thetaR, tol)
-    w = sol.wronskian()
-    c0, cR = _trace_coeffs(sol, primed)
+    rows = gamma_resolvent_rows(V, R, pair, primed, z, tol)
     lam = bdmap_general(V, R, quad, z, tol).matrix
     lam_inv = np.linalg.inv(lam)
     d0, dR = quad.diffs
@@ -223,16 +199,8 @@ def krein_kernel(V: PotentialSpec, R: float, pair: AnglePair,
         middle = (1.0 / cmath.sin(d0)) * (P1 @ lam_inv @ P1)
     else:        # only thetaR changed
         middle = (1.0 / cmath.sin(dR)) * (P2 @ lam_inv @ P2)
-
-    def left1(x):
-        return c0 * sol.uplus(x).u / w
-
-    def left2(x):
-        return cR * sol.uminus(x).u / w
-
-    # right factors are the trace-row kernels of gamma_{primed} (H - z)^-1
-    return RankTwoKernel(left=(left1, left2), coupling=middle,
-                         right=(left1, left2))
+    # both factors are the trace-row kernels of gamma_{primed} (H - z)^-1
+    return RankTwoKernel(left=rows, coupling=middle, right=rows)
 
 
 def krein_correction(V: PotentialSpec, R: float, pair: AnglePair,

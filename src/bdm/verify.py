@@ -17,7 +17,7 @@ from .bdmap import (asymptotic_reference, bdmap_general, bdmap_robin,
                     herglotz_imag, m_functions_from_fs)
 from .errors import EigenvalueHitError, NumericalError
 from .lft import block_relations_residual, connector, lft_residuals
-from .odecore import DEFAULT_TOL, fundamental_system
+from .odecore import DEFAULT_TOL, solution
 from .potential import PotentialSpec
 from .resolvent import green_evaluator, krein_kernel, lambda_times_s
 from .traces import AnglePair, AngleQuad, diag_sin, quad
@@ -59,7 +59,7 @@ def _safe_z(V, R, rng, tol):
     for _ in range(10):
         z = complex(rng.uniform(-3.0, 6.0), rng.uniform(0.6, 1.8))
         try:
-            fundamental_system(V, z, R, tol)
+            solution(V, z, tol)
             return z
         except NumericalError:
             continue
@@ -96,7 +96,7 @@ def check_symmetry_diagonal(V, R, pair, rng, tol, n=3) -> IdentityResult:
     for p in pairs:
         z = _safe_z(V, R, rng, tol)
         try:
-            fs = fundamental_system(V, z, R, tol)
+            fs = solution(V, z, tol).fs
             lam = bdmap_robin(V, R, p, z, tol).matrix
             mp, mm = m_functions_from_fs(fs, R, p)
         except EigenvalueHitError:

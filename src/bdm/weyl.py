@@ -23,18 +23,10 @@ import numpy as np
 
 from .bdmap import bdmap_robin, m_functions_from_fs
 from .errors import DegenerateError, DomainError, PoleHitError
-from .odecore import DEFAULT_TOL, SolutionEvaluator, _propagate_vec, fundamental_system
+from .odecore import DEFAULT_TOL, _propagate_vec, solution
 from .potential import PotentialSpec
 from .resolvent import green_evaluator
 from .traces import AnglePair
-
-
-@dataclass(frozen=True)
-class ReferenceFrame:
-    """A normalization point x0 in [0, R] with its rotation angle."""
-
-    x0: float
-    angle: complex
 
 
 @dataclass(frozen=True)
@@ -61,13 +53,6 @@ def wt_m(V: PotentialSpec, R: float, z: complex, x0: float, xi: complex,
     if abs(den) < max(1e-13, 50.0 * tol) * max(1.0, abs(num)):
         raise PoleHitError(f"wt_m pole: beta(eta)-trace of phi vanishes at z = {z}")
     return -num / den
-
-
-def wt_m_frames(V: PotentialSpec, R: float, z: complex, src: ReferenceFrame,
-                dst: ReferenceFrame, tol: float = DEFAULT_TOL) -> complex:
-    """wt_m with the reference data packed as frames (src carries the
-    alpha-type rotation, dst the beta-type boundary vector)."""
-    return wt_m(V, R, z, src.x0, src.angle, dst.x0, dst.angle, tol)
 
 
 def m_plus_via_wt(V: PotentialSpec, R: float, pair: AnglePair, z: complex,
@@ -103,9 +88,10 @@ def interior_m(V: PotentialSpec, R: float, z: complex, x0: float, sign: int,
     alpha = float(alpha)
     if not 0.0 <= alpha < math.pi:
         raise DomainError("alpha must lie in [0, pi)")
-    sol = SolutionEvaluator(V, z, pair.theta0, pair.thetaR, tol)
-    d = sol.uplus(x0) if sign > 0 else sol.uminus(x0)
-    if abs(d.u) < max(1e-13, 50.0 * tol) * max(1.0, abs(d.du)):
+    view = green_evaluator(V, R, pair, z, tol)
+    d = view.uplus(x0) if sign > 0 else view.uminus(x0)
+    # scale-free: a common factor of (u, u') cancels
+    if abs(d.u) < max(1e-13, 50.0 * tol) * abs(d.du):
         raise PoleHitError(f"x0 = {x0} is a node of u{'+' if sign > 0 else '-'}")
     return _alpha_rotate(d.du / d.u, alpha)
 
@@ -175,11 +161,10 @@ def green_link_check(V: PotentialSpec, R: float, pair: AnglePair, z: complex,
     Returns a dict name -> residual; identities whose angle hypotheses fail
     (sin or cos of an angle vanishing) are skipped.
     """
-    fs = fundamental_system(V, z, R, tol)
-    mp, mm = m_functions_from_fs(fs, R, pair)
+    mp, mm = m_functions_from_fs(solution(V, z, tol).fs, R, pair)
     lam = bdmap_robin(V, R, pair, z, tol).matrix
-    sol = SolutionEvaluator(V, z, pair.theta0, pair.thetaR, tol)
     gk = green_evaluator(V, R, pair, z, tol)
+    be = gk.endpoints
     g00 = gk(0.0, 0.0)
     gRR = gk(R, R)
     t0, tR = pair.theta0, pair.thetaR
@@ -196,17 +181,17 @@ def green_link_check(V: PotentialSpec, R: float, pair: AnglePair, z: complex,
     if abs(sR) > 1e-9:
         branches = []
         if abs(c0) > 1e-9:
-            branches.append(-sol.basis.uminus_at_0.du / c0)
+            branches.append(-be.uminus_at_0.du / c0)
         if abs(s0) > 1e-9:
-            branches.append(sol.basis.uminus_at_0.u / s0)
+            branches.append(be.uminus_at_0.u / s0)
         for i, br in enumerate(branches):
             out[f"lambda12_from_gRR_{i}"] = abs(lam[0, 1] - gRR * br / sR)
     if abs(s0) > 1e-9:
         branches = []
         if abs(cR) > 1e-9:
-            branches.append(sol.basis.uplus_at_R.du / cR)
+            branches.append(be.uplus_at_R.du / cR)
         if abs(sR) > 1e-9:
-            branches.append(sol.basis.uplus_at_R.u / sR)
+            branches.append(be.uplus_at_R.u / sR)
         for i, br in enumerate(branches):
             out[f"lambda12_from_g00_{i}"] = abs(lam[0, 1] - g00 * br / s0)
     # Dirichlet corner-derivative limits, step-refined one-sided differences

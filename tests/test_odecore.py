@@ -6,11 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from bdm import odecore
 from bdm.errors import AccuracyError, NearEigenvalueError
 from bdm.odecore import (CauchyData, basis_endpoints, char_det,
                          fundamental_system, propagate, wronskian)
 from bdm.potential import (PotentialSpec, sqrt_upper,
                            transfer_matrix_piecewise)
+from bdm.resolvent import green, krein_correction
+from bdm.traces import AnglePair
+from bdm.weyl import wt_matrix
 
 SINH_PI = 11.548739357257748
 
@@ -228,3 +232,56 @@ def test_wronskian_endpoint_disagreement_raises():
         z=1j)
     with pytest.raises(AccuracyError):
         wronskian(bad)
+
+
+def _record_propagations(monkeypatch):
+    """Empty the solution memo and log (x0, x1, state size) of every call
+    of the propagator."""
+    calls = []
+    inner = odecore._propagate_vec
+
+    def counted(V, z, x0, y0, x1, tol):
+        calls.append((x0, x1, len(y0)))
+        return inner(V, z, x0, y0, x1, tol)
+
+    monkeypatch.setattr(odecore, "_propagate_vec", counted)
+    odecore.solution.cache_clear()
+    return calls
+
+
+def test_interior_calls_share_one_sweep(monkeypatch):
+    # a 3x3 Green grid, a 3x3 Krein grid and two M_alpha at one (V, z, pair)
+    R = math.pi
+    V = PotentialSpec.sampled([0.0, 1.0, 2.2, R], [0.3, -1.0, 0.8, 0.1], R)
+    pair, primed, z = AnglePair(0.35, 0.75), AnglePair(1.5, 2.4), 20.0 + 1.5j
+    xs, x0s = [0.5, 1.3, 2.7], [1.3, 2.2]
+    calls = _record_propagations(monkeypatch)
+    for x in xs:
+        for xp in xs:
+            green(V, R, pair, z, x, xp)
+            krein_correction(V, R, pair, primed, z, x, xp)
+    for x0 in x0s:
+        wt_matrix(V, R, z, x0, pair, 0.4)
+    sweeps = [c for c in calls if c == (0.0, R, 4)]
+    rightward = [x1 for x0, x1, n in calls if n == 2 and x1 > x0]
+    leftward = [x1 for x0, x1, n in calls if n == 2 and x1 < x0]
+    assert len(sweeps) == 1
+    assert len(calls) == 1 + len(rightward) + len(leftward)
+    for ends in (rightward, leftward):
+        assert len(ends) == len(set(ends))
+        assert set(ends) <= set(xs + x0s)
+    odecore.solution.cache_clear()
+
+
+def test_solution_memo_keeps_one_entry(monkeypatch):
+    # (V1, z1), (V2, z2), (V1, z1): the third call cannot reuse the first
+    R = math.pi
+    V1 = PotentialSpec.zero(R)
+    V2 = PotentialSpec.piecewise_constant([1.1, 2.0], [0.8, -0.5, 0.4], R)
+    pair = AnglePair(0.35, 0.75)
+    calls = _record_propagations(monkeypatch)
+    for V, z in ((V1, 2.0 + 1.0j), (V2, 5.0 + 0.5j), (V1, 2.0 + 1.0j)):
+        green(V, R, pair, z, 1.0, 2.0)
+    assert sum(1 for c in calls if c == (0.0, R, 4)) == 3
+    assert odecore.solution.cache_info().maxsize == 1
+    odecore.solution.cache_clear()

@@ -50,6 +50,13 @@ def test_eval_outside_interval_raises():
         eval_potential(V, -0.1)
 
 
+def test_direct_construction_with_lists_is_hashable():
+    from bdm.odecore import char_det
+    V = PotentialSpec("sampled", 2.0, grid=[0.0, 1.0, 2.0], values=[0.0, 1.0, 0.5])
+    assert V == PotentialSpec.sampled([0.0, 1.0, 2.0], [0.0, 1.0, 0.5], 2.0)
+    assert cmath.isfinite(char_det(V, 1.0 + 1.0j, 0.3, 0.7))
+
+
 def test_potential_validation():
     with pytest.raises(DomainError):
         PotentialSpec.piecewise_constant([2.0, 1.0], [1, 2, 3], 3.0)

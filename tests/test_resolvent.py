@@ -9,7 +9,6 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from bdm.bdmap import bdmap_general
-from bdm.odecore import SolutionEvaluator
 from bdm.potential import PotentialSpec, oracle_green_zero
 from bdm.resolvent import (adjoint_trace_kernel, gamma_resolvent_rows,
                            gamma_row_coefficients, green, green_evaluator,
@@ -58,6 +57,28 @@ def test_green_matches_free_oracle_grid():
             assert gk(x, xp) == pytest.approx(expect, rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize("z", [100j, 300j, 1000j])
+def test_green_large_imaginary_z_matches_free_oracle(z):
+    # Im sqrt(z) R up to 70: u+/- start from unit data, so the relative step
+    # control holds however small the normalized u+/- become
+    p = AnglePair(0.35, 0.75)
+    g = green(VFREE, R, p, z, 1.3, 1.3).value
+    expect = oracle_green_zero(z, R, p.theta0, p.thetaR, 1.3, 1.3)
+    assert abs(g - expect) <= 1e-8 * abs(expect)
+
+
+def test_krein_correction_large_imaginary_z_matches_free_oracles():
+    # at z = 300i the correction near either endpoint is about 1e-3 of G,
+    # so the difference of the two closed forms is still a sharp reference
+    base, primed = AnglePair(0.35, 0.75), AnglePair(1.5, 2.4)
+    z = 300j
+    for x, xp in ((0.2, 0.3), (2.9, 2.9)):
+        c = krein_correction(VFREE, R, base, primed, z, x, xp)
+        expect = (oracle_green_zero(z, R, base.theta0, base.thetaR, x, xp)
+                  - oracle_green_zero(z, R, primed.theta0, primed.thetaR, x, xp))
+        assert abs(c - expect) <= 1e-8 * abs(expect)
+
+
 def test_gamma_rows_vanish_for_same_angles():
     k1, k2 = gamma_resolvent_rows(VCPLX, R, AnglePair(0.9, 0.4),
                                   AnglePair(0.9, 0.4), 0.7 + 1.3j)
@@ -101,12 +122,11 @@ def test_gamma_rows_quadrature_check():
     nodes, weights = leggauss(64)
     xs = 0.5 * R * (nodes + 1.0)
     ws = 0.5 * R * weights
-    sol = SolutionEvaluator(VREAL, z, base.theta0, base.thetaR)
-    fvals = [sol.uplus(float(x)).u for x in xs]
+    gk = green_evaluator(VREAL, R, base, z)
+    fvals = [gk.uplus(float(x)).u for x in xs]
     k1, k2 = gamma_resolvent_rows(VREAL, R, base, primed, z)
     lhs = (sum(w * k1(float(x)) * f for x, w, f in zip(xs, ws, fvals)),
            sum(w * k2(float(x)) * f for x, w, f in zip(xs, ws, fvals)))
-    gk = green_evaluator(VREAL, R, base, z)
     F0 = sum(w * gk(0.0, float(x)) * f for x, w, f in zip(xs, ws, fvals))
     dF0 = sum(w * gk.d1(0.0, float(x)) * f for x, w, f in zip(xs, ws, fvals))
     FR = sum(w * gk(R, float(x)) * f for x, w, f in zip(xs, ws, fvals))

@@ -52,12 +52,10 @@ def test_interior_m_free_closed_forms():
 
 
 def test_interior_m_alpha_zero_is_log_derivative():
-    from bdm.odecore import SolutionEvaluator
     z = 1.3 + 0.8j
     pair = AnglePair(0.7, 1.9)
     x0 = 2.0
-    sol = SolutionEvaluator(VREAL, z, pair.theta0, pair.thetaR)
-    d = sol.uplus(x0)
+    d = green_evaluator(VREAL, R, pair, z).uplus(x0)
     assert interior_m(VREAL, R, z, x0, +1, pair) == pytest.approx(
         d.du / d.u, rel=1e-12)
 
@@ -94,6 +92,13 @@ def test_wt_matrix_determinant():
         V = VREAL if rng.uniform() < 0.5 else VCPLX
         M = wt_matrix(V, R, z, x0, pair, alpha)
         assert abs(np.linalg.det(M.matrix) + 0.25) < 1e-10
+
+
+def test_wt_matrix_large_imaginary_z_has_no_false_node():
+    # u- and u+ are tiny at x0 = 1.3, z = 300i but have no node there: the
+    # node test compares |u| with |u'| and ignores their common scale
+    M = wt_matrix(VFREE, R, 300j, 1.3, AnglePair(0.35, 0.75), 0.4)
+    assert abs(np.linalg.det(M.matrix) + 0.25) < 1e-10
 
 
 def test_wt_matrix_11_is_green_diagonal():
