@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .bdmap import (BoundaryDataMap, asymptotic_reference, bdmap_general,
                     bdmap_robin, herglotz_imag, m_minus, m_plus,
                     measure_point_mass)
-from .cli import ProblemConfig, load_config, parse_config
 from .errors import (AccuracyError, BdmError, ConfigError, ContourError,
                      DegenerateError, DomainError, EigenvalueHitError,
                      NearEigenvalueError, NumericalError, PoleHitError,
@@ -18,7 +17,7 @@ from .errors import (AccuracyError, BdmError, ConfigError, ContourError,
 from .lft import Block4, connector, in_class_A4, moebius, verify_lft_relation
 from .odecore import (BasisEndpoints, CauchyData, FundamentalEval,
                       basis_endpoints, char_det, fundamental_system,
-                      map_over_z, propagate, wronskian)
+                      propagate, wronskian)
 from .potential import (PotentialSpec, closed_form_f, closed_form_g,
                         eval_potential, oracle_bdmap_zero, oracle_green_zero,
                         sqrt_upper, transfer_matrix_piecewise)

@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DomainError, EigenvalueHitError
-from .odecore import (DEFAULT_TOL, FundamentalEval, delta_from_fs,
-                      is_near_eigenvalue, solution)
-from .potential import PotentialSpec, sqrt_upper
+from .odecore import DEFAULT_TOL, FundamentalEval, delta_from_fs, solution
+from .potential import PotentialSpec, is_near_eigenvalue, sqrt_upper
 from .traces import AnglePair, AngleQuad, angles_mod_pi_zero, diag_sin
 
 
@@ -40,7 +39,8 @@ class BoundaryDataMap:
 
 def _check_spectrum(delta: complex, z: complex, R: float, pair: AnglePair,
                     tol: float = 0.0) -> None:
-    if is_near_eigenvalue(delta, z, R, pair.theta0, pair.thetaR, tol):
+    if is_near_eigenvalue(delta, z, R, pair.theta0, pair.thetaR,
+                          max(1e-12, 50.0 * tol)):
         raise EigenvalueHitError(
             f"z = {z} is numerically an eigenvalue of H_({pair.theta0}, "
             f"{pair.thetaR}); the boundary data map has a pole there",

@@ -5,8 +5,8 @@ by a JSON config; numeric output is CSV with complex values split into
 paired _re/_im columns, floats printed with 17 significant digits, and a
 version header comment so files are byte-reproducible.
 
-Exit codes: 0 ok, 1 config error, 2 numerical failure, 3 verification
-failure.
+Exit codes: 0 ok, 1 config error or input outside a function's domain,
+2 numerical failure, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from functools import partial
 
 from . import __version__
 from .bdmap import bdmap_general, bdmap_robin, measure_point_mass
-from .errors import ConfigError, NumericalError
-from .odecore import DEFAULT_TOL, map_over_z
+from .errors import ConfigError, DomainError, NumericalError
+from .odecore import DEFAULT_TOL
 from .potential import PotentialSpec
 from .resolvent import green
 from .spectrum import eig_selfadjoint
@@ -35,8 +35,8 @@ EXIT_NUMERICAL = 2
 EXIT_VERIFY = 3
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+def _fmt(x) -> str:
+    return x if isinstance(x, str) else f"{float(x):.17g}"
 
 
 def _complex_cols(prefix: str):
@@ -168,6 +168,18 @@ def write_csv(path: str, header: list, rows) -> None:
             fh.write(text)
 
 
+def _over_z(cfg, args, fn, payload) -> list:
+    """fn(payload, z) over the z grid, in grid order; with --jobs > 1 the
+    grid is fanned over a process pool (fn and payload must pickle)."""
+    zs = z_grid_from_config(cfg.raw, args.z)
+    task = partial(fn, payload)
+    if args.jobs <= 1 or len(zs) <= 1:
+        return [task(z) for z in zs]
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        return list(pool.map(task, zs))
+
+
 def _mat_row(prefix_vals) -> list:
     out = []
     for v in prefix_vals:
@@ -195,9 +207,8 @@ def _map_at_z(payload, z):
 
 
 def cmd_map(cfg, args) -> int:
-    zs = z_grid_from_config(cfg.raw, args.z)
     payload = (cfg.V, cfg.R, cfg.pair, cfg.primed, cfg.tol)
-    rows = map_over_z(partial(_map_at_z, payload), zs, args.jobs)
+    rows = _over_z(cfg, args, _map_at_z, payload)
     header = (["z_re", "z_im"] + _complex_cols("l11") + _complex_cols("l12")
               + _complex_cols("l21") + _complex_cols("l22"))
     write_csv(args.out, header, rows)
@@ -215,14 +226,13 @@ def _green_at_z(payload, z):
 
 
 def cmd_green(cfg, args) -> int:
-    zs = z_grid_from_config(cfg.raw, args.z)
     raw = cfg.raw
     n = int(raw.get("x_points", 5))
     xs = raw.get("x_grid") or [cfg.R * (i + 1) / (n + 1) for i in range(n)]
     xps = raw.get("xp_grid") or xs
     payload = (cfg.V, cfg.R, cfg.pair, [float(v) for v in xs],
                [float(v) for v in xps], cfg.tol)
-    chunks = map_over_z(partial(_green_at_z, payload), zs, args.jobs)
+    chunks = _over_z(cfg, args, _green_at_z, payload)
     rows = [row for chunk in chunks for row in chunk]
     write_csv(args.out, ["z_re", "z_im", "x", "xp", "g_re", "g_im"], rows)
     return EXIT_OK
@@ -251,12 +261,11 @@ def _wtm_at_z(payload, z):
 
 
 def cmd_wtm(cfg, args) -> int:
-    zs = z_grid_from_config(cfg.raw, args.z)
     x0 = args.x0 if args.x0 is not None else cfg.raw.get("x0", cfg.R / 2)
     alpha = args.alpha if args.alpha is not None else cfg.raw.get("alpha", 0.0)
     payload = (cfg.V, cfg.R, cfg.pair, float(x0), float(alpha),
                cfg.tol)
-    rows = map_over_z(partial(_wtm_at_z, payload), zs, args.jobs)
+    rows = _over_z(cfg, args, _wtm_at_z, payload)
     header = (["z_re", "z_im"] + _complex_cols("m11") + _complex_cols("m12")
               + _complex_cols("m21") + _complex_cols("m22"))
     write_csv(args.out, header, rows)
@@ -268,13 +277,9 @@ def cmd_verify(cfg, args) -> int:
                         cfg.tol)
     print(format_table(results))
     if args.out and args.out != "-":
-        rows = [[r.residual, r.threshold, 1.0 if r.passed else 0.0]
-                for r in results]
-        lines = [f"# bdm {__version__}", "identity,residual,threshold,passed"]
-        for r, row in zip(results, rows):
-            lines.append(",".join([r.name] + [_fmt(v) for v in row]))
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(args.out, ["identity", "residual", "threshold", "passed"],
+                  [[r.name, r.residual, r.threshold, 1.0 if r.passed else 0.0]
+                   for r in results])
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 
 
@@ -336,6 +341,9 @@ def run(argv=None) -> int:
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except DomainError as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

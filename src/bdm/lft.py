@@ -61,8 +61,7 @@ def _guarded_inv(M: np.ndarray, what: str) -> np.ndarray:
 def moebius(A: Block4, L: np.ndarray) -> np.ndarray:
     """(A21 + A22 L)(A11 + A12 L)^-1."""
     L = np.asarray(L, dtype=complex)
-    den = _guarded_inv(A.a11 + A.a12 @ L, "A11 + A12 L")
-    return (A.a21 + A.a22 @ L) @ den
+    return (A.a21 + A.a22 @ L) @ moebius_imag_factor(A, L)
 
 
 def moebius_imag_factor(A: Block4, L: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .errors import (AccuracyError, DomainError, NearEigenvalueError,
                      StiffnessError)
-from .potential import PotentialSpec, make_eval, sqrt_upper
+from .potential import PotentialSpec, is_near_eigenvalue, make_eval
 
 DEFAULT_TOL = 1e-10
 
@@ -177,8 +177,14 @@ def _split_at_knots(V: PotentialSpec, x0: float, x1: float):
     return pts
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol = {tol} must be positive and finite")
+
+
 def _propagate_vec(V: PotentialSpec, z: complex, x0: float, y0: tuple,
                    x1: float, tol: float) -> tuple:
+    _check_tol(tol)
     vx = make_eval(V)
 
     def qfun(x):
@@ -222,43 +228,6 @@ def char_det(V: PotentialSpec, z: complex, theta0: complex, thetaR: complex,
     """Characteristic determinant; zeros = eigenvalues of the Robin
     realization with angles (theta0, thetaR)."""
     return delta_from_fs(solution(V, z, tol).fs, theta0, thetaR)
-
-
-def log_delta_scale(z: complex, R: float, theta0: complex = None,
-                    thetaR: complex = None) -> float:
-    """log of the natural magnitude scale of Delta away from its zeros.
-
-    The four boundary-weighted terms grow like |z|^(1/2) e^(Im sqrt(z) R)
-    (sin*sin), e^(...) (mixed) and |z|^(-1/2) e^(...) (cos*cos); without
-    angles the generic |z|^(1/2) envelope is used, with angles the actual
-    coefficient pattern, so Dirichlet-type pairs get the correct smaller
-    scale.  Everything stays in log space so large |z| cannot overflow.
-    """
-    root = math.sqrt(max(1.0, abs(z)))
-    growth = sqrt_upper(z).imag * R
-    if theta0 is None:
-        return math.log(root) + growth
-    s0, c0 = abs(cmath.sin(theta0)), abs(cmath.cos(theta0))
-    sR, cR = abs(cmath.sin(thetaR)), abs(cmath.cos(thetaR))
-    amp = root * s0 * sR + s0 * cR + c0 * sR + c0 * cR / root
-    return math.log(max(amp, 1e-300)) + growth
-
-
-def is_near_eigenvalue(delta: complex, z: complex, R: float,
-                       theta0: complex = None, thetaR: complex = None,
-                       tol: float = 0.0) -> bool:
-    """Scale-aware proximity test |Delta| < floor * scale, in log space so
-    large-|z| scales cannot overflow.
-
-    The floor is max(1e-12, 50 tol): a determinant computed at tolerance
-    tol carries O(tol) relative error, so exact spectral hits land at
-    |Delta| ~ tol * scale and a fixed 1e-12 floor would miss them.
-    """
-    if delta == 0.0:
-        return True
-    floor = max(1e-12, 50.0 * tol)
-    return math.log(abs(delta)) < (math.log(floor)
-                                   + log_delta_scale(z, R, theta0, thetaR))
 
 
 def basis_endpoints(V: PotentialSpec, z: complex, theta0: complex,
@@ -336,7 +305,8 @@ class BasisView:
         d_plus = delta_from_fs(fs, 0.0, thetaR)    # cos(thetaR) phi(R) - sin(thetaR) phi'(R)
         for name, th0, thR, d in (("H_{theta0,0}", theta0, 0.0, d_minus),
                                   ("H_{0,thetaR}", 0.0, thetaR, d_plus)):
-            if is_near_eigenvalue(d, sol.z, R, th0, thR, sol.tol):
+            if is_near_eigenvalue(d, sol.z, R, th0, thR,
+                                  max(1e-12, 50.0 * sol.tol)):
                 raise NearEigenvalueError(
                     f"z = {sol.z} is numerically an eigenvalue of the auxiliary "
                     f"operator {name}; the u+/- normalization does not exist",
@@ -392,17 +362,3 @@ class BasisView:
             return self.uminus(x).u * self.uplus(xp).du / self.w
         return self.uminus(xp).du * self.uplus(x).u / self.w
 
-
-def map_over_z(fn, zs, jobs: int = 1):
-    """Evaluate fn on a z grid; results in grid order.
-
-    All operations here are pure functions without shared integrator state,
-    so fan-out is safe; with jobs > 1 a process pool is used (fn must be
-    picklable).
-    """
-    zs = list(zs)
-    if jobs <= 1 or len(zs) <= 1:
-        return [fn(z) for z in zs]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, zs))

@@ -179,23 +179,6 @@ class PotentialSpec:
         return total
 
 
-def eval_potential(V: PotentialSpec, x: float) -> complex:
-    """Pointwise value of the chosen representative of V (right limits at
-    breakpoints)."""
-    if not 0.0 <= x <= V.R:
-        raise DomainError(f"x = {x} outside [0, {V.R}]")
-    if V.kind == "zero":
-        return 0.0 + 0.0j
-    if V.kind == "piecewise_constant":
-        return V.values[bisect.bisect_right(V.breakpoints, x)]
-    i = bisect.bisect_right(V.grid, x) - 1
-    if i >= len(V.grid) - 1:
-        return V.values[-1]
-    x0, x1 = V.grid[i], V.grid[i + 1]
-    t = (x - x0) / (x1 - x0)
-    return V.values[i] * (1.0 - t) + V.values[i + 1] * t
-
-
 def make_eval(V: PotentialSpec):
     """Specialized fast evaluator x -> V(x) for the integrator hot loop."""
     if V.kind == "zero":
@@ -218,16 +201,50 @@ def make_eval(V: PotentialSpec):
     return ev
 
 
-def _raise_if_free_eigenvalue(fr: complex, z: complex, R: float,
-                              theta0: complex, thetaR: complex) -> None:
-    # fr is the entire part f/sqrt(z) = -Delta of the free problem; compare
-    # against its angle-weighted natural magnitude, in log space
+def eval_potential(V: PotentialSpec, x: float) -> complex:
+    """Pointwise value of the chosen representative of V (right limits at
+    breakpoints)."""
+    if not 0.0 <= x <= V.R:
+        raise DomainError(f"x = {x} outside [0, {V.R}]")
+    return complex(make_eval(V)(x))
+
+
+def log_delta_scale(z: complex, R: float, theta0: complex,
+                    thetaR: complex) -> float:
+    """log of the natural magnitude scale of Delta away from its zeros.
+
+    The four boundary-weighted terms grow like |z|^(1/2) e^(Im sqrt(z) R)
+    (sin*sin), e^(...) (mixed) and |z|^(-1/2) e^(...) (cos*cos); weighting
+    them by the actual angle coefficients gives Dirichlet-type pairs the
+    correct smaller scale.  Everything stays in log space so large |z|
+    cannot overflow.
+    """
     root = math.sqrt(max(1.0, abs(z)))
     s0, c0 = abs(cmath.sin(theta0)), abs(cmath.cos(theta0))
     sR, cR = abs(cmath.sin(thetaR)), abs(cmath.cos(thetaR))
     amp = root * s0 * sR + s0 * cR + c0 * sR + c0 * cR / root
-    log_scale = math.log(max(amp, 1e-300)) + sqrt_upper(z).imag * R
-    if fr == 0.0 or math.log(abs(fr)) <= math.log(1e-12) + log_scale:
+    return math.log(max(amp, 1e-300)) + sqrt_upper(z).imag * R
+
+
+def is_near_eigenvalue(delta: complex, z: complex, R: float, theta0: complex,
+                       thetaR: complex, floor: float) -> bool:
+    """Whether Delta(z; theta0, thetaR) counts as zero: |Delta| < floor *
+    scale, in log space so large-|z| scales cannot overflow.
+
+    The floor is the caller's: a determinant computed at tolerance tol
+    carries O(tol) relative error, so exact spectral hits land at
+    |Delta| ~ tol * scale.
+    """
+    if delta == 0.0:
+        return True
+    return math.log(abs(delta)) < (math.log(floor)
+                                   + log_delta_scale(z, R, theta0, thetaR))
+
+
+def _raise_if_free_eigenvalue(fr: complex, z: complex, R: float,
+                              theta0: complex, thetaR: complex) -> None:
+    # fr is the entire part f/sqrt(z) = -Delta of the free problem
+    if is_near_eigenvalue(fr, z, R, theta0, thetaR, 1e-12):
         raise EigenvalueHitError(
             f"z = {z} is an eigenvalue of the free operator with angles "
             f"({theta0}, {thetaR})", z=z, operator="H0")

@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import ContourError, DomainError, SearchFailureError
-from .odecore import DEFAULT_TOL, char_det, log_delta_scale
-from .potential import PotentialSpec
+from .odecore import DEFAULT_TOL, _check_tol, char_det
+from .potential import PotentialSpec, is_near_eigenvalue
 from .traces import AnglePair, angles_mod_pi_zero
 
 
@@ -64,12 +64,16 @@ def _newton_polish(f, z0: complex, R: float, tol: float, real_line: bool):
     return z
 
 
-def _residual_ok(f, lam: complex, R: float, pair: AnglePair, tol: float) -> bool:
-    val = f(lam)
-    if val == 0.0:
-        return True
-    return math.log(abs(val)) < math.log(tol) + log_delta_scale(
-        lam, R, pair.theta0, pair.thetaR)
+def _merge_close(found):
+    """(root, count) pairs sorted along the real axis, with roots within
+    1e-8 relative of the previous kept root merged into it (counts add)."""
+    merged = []
+    for lam, n in sorted(found, key=lambda p: (p[0].real, p[0].imag)):
+        if merged and abs(lam - merged[-1][0]) <= 1e-8 * max(1.0, abs(lam)):
+            merged[-1] = (merged[-1][0], merged[-1][1] + n)
+        else:
+            merged.append((lam, n))
+    return merged
 
 
 def _guess_offset(pair: AnglePair) -> float:
@@ -90,6 +94,7 @@ def eig_selfadjoint(V: PotentialSpec, R: float, pair: AnglePair, n_max: int,
         raise DomainError("eig_selfadjoint needs real boundary angles")
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
+    _check_tol(tol)
     f = _delta_fn(V, pair, tol)
     # scanning and bracketing only need signs; run them loose, polish tight
     f_scan = _delta_fn(V, pair, max(tol, 1e-6))
@@ -142,15 +147,10 @@ def eig_selfadjoint(V: PotentialSpec, R: float, pair: AnglePair, n_max: int,
     if vals[-1] == 0.0:
         roots.append(_newton_polish(f, complex(pts[-1]), R, tol, True).real)
 
-    # dedupe near-coincident refinements
-    roots.sort()
-    cleaned = []
-    for lam in roots:
-        if cleaned and abs(lam - cleaned[-1]) <= 1e-8 * max(1.0, abs(lam)):
-            continue
-        cleaned.append(lam)
-    cleaned = [lam for lam in cleaned
-               if _residual_ok(f, lam, R, pair, max(tol, 1e-10))]
+    # dedupe near-coincident refinements; keep those with a small residual
+    cleaned = [lam for lam, _ in _merge_close((lam, 1) for lam in roots)
+               if is_near_eigenvalue(f(lam), lam, R, pair.theta0, pair.thetaR,
+                                     max(tol, 1e-10))]
     found = cleaned[:n_max]
     if len(found) < n_max:
         raise SearchFailureError(
@@ -183,7 +183,7 @@ def _edge_pieces(a: complex, b: complex, R: float) -> int:
     return max(8, 4 * (int(expected) + 1))
 
 
-def _phase_winding(f, corners, floor_log, R):
+def _phase_winding(f, corners, R, pair, floor):
     """Total winding of f along the closed polygon.
 
     Each edge starts from a zero-density-aware subdivision; pieces are then
@@ -201,7 +201,8 @@ def _phase_winding(f, corners, floor_log, R):
             if hit is None:
                 z = a + (b - a) * t
                 hit = f(z)
-                if hit == 0.0 or math.log(abs(hit)) < floor_log(z):
+                if is_near_eigenvalue(hit, z, R, pair.theta0, pair.thetaR,
+                                      floor):
                     raise ContourError(
                         f"determinant vanishes near contour point {z}",
                         suggested_inflation=1.5)
@@ -234,14 +235,10 @@ def _count_box(f, box, R: float, pair: AnglePair,
     re0, re1, im0, im1 = box
     # a determinant sampled at scan_tol carries O(scan_tol) relative error:
     # values below ~30 scan_tol * scale cannot be told from a contour hit
-    log_floor = math.log(max(1e-12, 30.0 * scan_tol))
-
-    def floor_log(z):
-        return log_floor + log_delta_scale(z, R, pair.theta0, pair.thetaR)
-
+    floor = max(1e-12, 30.0 * scan_tol)
     corners = [complex(re0, im0), complex(re1, im0),
                complex(re1, im1), complex(re0, im1)]
-    w = _phase_winding(f, corners, floor_log, R)
+    w = _phase_winding(f, corners, R, pair, floor)
     n = round(w)
     if abs(w - n) > 0.1:
         raise ContourError(f"winding number {w} is not near an integer",
@@ -252,6 +249,7 @@ def _count_box(f, box, R: float, pair: AnglePair,
 def count_zeros_rectangle(V: PotentialSpec, R: float, pair: AnglePair, rect,
                           tol: float = DEFAULT_TOL) -> int:
     """Argument-principle zero count in rect = (re0, re1, im0, im1)."""
+    _check_tol(tol)
     scan = max(tol, 1e-6)
     return _count_box(_delta_fn(V, pair, scan), tuple(rect), R, pair, scan)
 
@@ -262,6 +260,7 @@ def eig_rectangle(V: PotentialSpec, R: float, pair: AnglePair, rect,
     re0, re1, im0, im1 = (float(v) for v in rect)
     if not (re0 < re1 and im0 < im1):
         raise DomainError("rectangle must have positive extent")
+    _check_tol(tol)
     f = _delta_fn(V, pair, tol)
     scan_tol = max(tol, 1e-6)
     f_scan = _delta_fn(V, pair, scan_tol)
@@ -273,14 +272,17 @@ def eig_rectangle(V: PotentialSpec, R: float, pair: AnglePair, rect,
         a0, a1, b0, b1 = box
         if n == 0:
             return
-        if n == 1 or max(a1 - a0, b1 - b0) < min_size:
+        small = max(a1 - a0, b1 - b0) < min_size
+        if n == 1 or small:
             center = complex(0.5 * (a0 + a1), 0.5 * (b0 + b1))
             lam = _newton_polish(f, center, R, tol, False)
-            if not (a0 - min_size <= lam.real <= a1 + min_size
-                    and b0 - min_size <= lam.imag <= b1 + min_size):
-                lam = center  # Newton escaped its cell; keep the localization
-            found.append((lam, n))
-            return
+            inside = (a0 - min_size <= lam.real <= a1 + min_size
+                      and b0 - min_size <= lam.imag <= b1 + min_size)
+            if inside or small:
+                # a cell below min_size is the localization itself
+                found.append((lam if inside else center, n))
+                return
+            # Newton left a one-zero cell: quadrisect it and start closer
         # split midlines may themselves hit a zero: jitter until clean
         for shift in (0.0, 0.0173, -0.0231, 0.0517, -0.0719):
             am = 0.5 * (a0 + a1) + shift * (a1 - a0)
@@ -302,13 +304,7 @@ def eig_rectangle(V: PotentialSpec, R: float, pair: AnglePair, rect,
 
     recurse((re0, re1, im0, im1),
             _count_box(f_scan, (re0, re1, im0, im1), R, pair, scan_tol))
-    found.sort(key=lambda p: (p[0].real, p[0].imag))
-    merged = []
-    for lam, n in found:
-        if merged and abs(lam - merged[-1][0]) <= 1e-8 * max(1.0, abs(lam)):
-            merged[-1] = (merged[-1][0], merged[-1][1] + n)
-        else:
-            merged.append((lam, n))
+    merged = _merge_close(found)
     eigs = tuple(lam for lam, _ in merged)
     return SpectrumResult(eigs, tuple(abs(f(lam)) for lam in eigs),
                           window=f"rectangle {rect}",

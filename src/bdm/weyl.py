@@ -120,10 +120,8 @@ def _wedge_limits(gk, x0: float, h: float):
     gdiag = gk(x0, x0)
 
     def probes(d):
-        s = (gk.d1(x0 - d, x0 + d) + gk.d2(x0 - d, x0 + d))
-        m = (gk(x0 - d + h, x0 + d + h) - gk(x0 - d + h, x0 + d - h)
-             - gk(x0 - d - h, x0 + d + h) + gk(x0 - d - h, x0 + d - h)) / (4 * h * h)
-        return s, m
+        return (gk.d1(x0 - d, x0 + d) + gk.d2(x0 - d, x0 + d),
+                _fd_second_mixed(gk, x0 - d, x0 + d, h))
 
     # quadratic extrapolation d -> 0 through d, 2d, 4d
     s1, m1 = probes(3 * h)

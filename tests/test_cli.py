@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bdm import __version__
 from bdm.cli import run
 from bdm.potential import oracle_bdmap_zero
 
@@ -201,3 +206,58 @@ def test_theta_prime_switches_to_general_map(tmp_path):
     row = [float(v) for v in out.read_text().splitlines()[2].split(",")]
     # theta0' = theta0 forces a zero (1,2) entry in the general map
     assert row[4] == 0.0 and row[5] == 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["eig", "--n", "2"],
+    ["measure", "--n", "2"],
+    ["wtm", "--x0", "10"],
+    ["map", "--z", "2,1", "--tol", "-1"],
+    ["map", "--tol", "nan", "--jobs", "2"],
+], ids=["eig-complex-V", "measure-complex-V", "wtm-x0-outside",
+        "map-negative-tol", "map-nan-tol-jobs"])
+def test_domain_error_is_one_line_exit_1(argv, tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "c.json",
+        potential={"type": "piecewise_constant", "breakpoints": [1.1],
+                   "values_re": [0.8, -0.5], "values_im": [0.2, 0.0]},
+        theta={"theta0_re": 0.35, "thetaR_re": 0.75},
+        z_grid={"list": [{"re": 0.0, "im": 1.0}, {"re": 2.0, "im": 1.5}]})
+    code = run(argv + ["--config", cfg, "--out", str(tmp_path / "o.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("invalid input: ") and err.count("\n") == 1
+    assert not (tmp_path / "o.csv").exists()
+
+
+def _python(*args):
+    """Run the interpreter on args with this checkout's src on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_bdm_leaves_cli_out():
+    proc = _python("-c", "import sys, bdm; "
+                   "print('bdm.cli' in sys.modules, 'argparse' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
+
+
+@pytest.mark.parametrize("module", ["bdm", "bdm.cli"])
+def test_module_entry_points_run_without_warnings(module):
+    proc = _python("-W", "error", "-m", module, "--version")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"bdm {__version__}"
+
+
+def test_domain_error_process_prints_no_traceback(tmp_path):
+    out = tmp_path / "o.csv"
+    proc = _python("-m", "bdm", "map", "--config", write_config(
+        tmp_path / "f.json"), "--z", "2,1", "--tol", "0", "--out", str(out))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("invalid input: ")

@@ -285,3 +285,16 @@ def test_solution_memo_keeps_one_entry(monkeypatch):
     assert sum(1 for c in calls if c == (0.0, R, 4)) == 3
     assert odecore.solution.cache_info().maxsize == 1
     odecore.solution.cache_clear()
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_bad_tol_is_domain_error(tol):
+    from bdm.bdmap import bdmap_robin
+    from bdm.errors import DomainError
+    V = PotentialSpec.zero(math.pi)
+    with pytest.raises(DomainError):
+        propagate(V, 1.0, CauchyData(0.0, 1.0, 0.0), 1.0, tol=tol)
+    with pytest.raises(DomainError):
+        char_det(V, 2.0 + 1.0j, 0.3, 0.7, tol=tol)
+    with pytest.raises(DomainError):
+        bdmap_robin(V, math.pi, AnglePair(0.3, 0.7), 2.0 + 1.0j, tol=tol)

@@ -147,3 +147,40 @@ def test_rectangle_survives_zero_on_split_midline():
     assert len(res) == 2
     assert abs(res.eigenvalues[0] - 1.0) < 1e-8
     assert abs(res.eigenvalues[1] - 4.0) < 1e-8
+
+
+def test_rectangle_refines_cell_when_newton_escapes():
+    # Newton started at the centre of the one-zero cell around 7.17 leaves
+    # the cell; the cell is quadrisected again instead of its centre being
+    # reported as an eigenvalue
+    V = PotentialSpec.piecewise_constant(
+        [1.1, 2.0], [0.6413 + 0.1572j, -0.3925 - 0.0831j, 0.3802 - 0.3579j],
+        math.pi)
+    res = eig_rectangle(V, math.pi, AnglePair(0.35 + 0.0371j, 0.75),
+                        (-2, 20, -2, 2), tol=1e-10)
+    assert min(abs(lam - (7.16741931143335 + 0.00924110712547899j))
+               for lam in res.eigenvalues) < 1e-8
+    assert 3.5 + 1j not in res.eigenvalues
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("search", [
+    lambda tol: eig_selfadjoint(VBUMP, math.pi, AnglePair(0.7, 2.1), 3, tol),
+    lambda tol: eig_rectangle(VFREE, math.pi, AnglePair(0.0, 0.0),
+                              (0.5, 5.0, -1.0, 1.0), tol),
+    lambda tol: count_zeros_rectangle(VFREE, math.pi, AnglePair(0.0, 0.0),
+                                      (0.5, 5.0, -1.0, 1.0), tol),
+], ids=["eig_selfadjoint", "eig_rectangle", "count_zeros_rectangle"])
+def test_bad_tol_rejected_before_any_propagation(search, tol, monkeypatch):
+    from bdm import odecore
+    calls = []
+    inner = odecore._propagate_vec
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(odecore, "_propagate_vec", counted)
+    with pytest.raises(DomainError):
+        search(tol)
+    assert calls == []
