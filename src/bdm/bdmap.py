@@ -37,10 +37,11 @@ class BoundaryDataMap:
     quad: AngleQuad
 
 
-def _check_spectrum(delta: complex, z: complex, R: float, pair: AnglePair,
-                    tol: float = 0.0) -> None:
+def _check_spectrum(fs: FundamentalEval, delta: complex, R: float,
+                    pair: AnglePair, tol: float = 0.0) -> None:
+    z = fs.z
     if is_near_eigenvalue(delta, z, R, pair.theta0, pair.thetaR,
-                          max(1e-12, 50.0 * tol)):
+                          max(1e-12, 50.0 * tol), fs.log_scale):
         raise EigenvalueHitError(
             f"z = {z} is numerically an eigenvalue of H_({pair.theta0}, "
             f"{pair.thetaR}); the boundary data map has a pole there",
@@ -52,10 +53,12 @@ def lambda_from_fs(fs: FundamentalEval, R: float, quad: AngleQuad,
     t0, tR = quad.base.theta0, quad.base.thetaR
     t0p, tRp = quad.primed.theta0, quad.primed.thetaR
     den = delta_from_fs(fs, t0, tR)
-    _check_spectrum(den, fs.z, R, quad.base, tol)
+    _check_spectrum(fs, den, R, quad.base, tol)
+    # the Delta ratios are scale-free; sin(...)/Delta carries e^-log_scale
+    unit = math.exp(-fs.log_scale)
     return np.array(
-        [[delta_from_fs(fs, t0p, tR) / den, cmath.sin(t0p - t0) / den],
-         [cmath.sin(tRp - tR) / den, delta_from_fs(fs, t0, tRp) / den]],
+        [[delta_from_fs(fs, t0p, tR) / den, cmath.sin(t0p - t0) / den * unit],
+         [cmath.sin(tRp - tR) / den * unit, delta_from_fs(fs, t0, tRp) / den]],
         dtype=complex)
 
 
@@ -80,7 +83,7 @@ def m_functions_from_fs(fs: FundamentalEval, R: float, pair: AnglePair,
     """(m+, m-) from one fundamental solve, in exact determinant-ratio form."""
     t0, tR = pair.theta0, pair.thetaR
     den = delta_from_fs(fs, t0, tR)
-    _check_spectrum(den, fs.z, R, pair, tol)
+    _check_spectrum(fs, den, R, pair, tol)
     mplus = delta_from_fs(fs, t0 + math.pi / 2.0, tR) / den
     mminus = -delta_from_fs(fs, t0, tR + math.pi / 2.0) / den
     return mplus, mminus

@@ -57,7 +57,13 @@ class ContourError(NumericalError):
 
 
 class AccuracyError(NumericalError):
-    """An extrapolation or cross-check failed to reach its tolerance."""
+    """An extrapolation or cross-check failed to reach its tolerance, or a
+    value at (z, x) does not fit in a double."""
+
+    def __init__(self, message, z=None, x=None):
+        super().__init__(message)
+        self.z = z
+        self.x = x
 
 
 class DegenerateError(NumericalError):

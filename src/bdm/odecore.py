@@ -1,8 +1,8 @@
 """Complex propagation of -u'' + V u = z u and everything built on it.
 
-One adaptive Dormand-Prince 5(4) sweep from 0 to R produces the fundamental
-system (theta, phi) normalized by theta(z,0) = phi'(z,0) = 1, theta'(z,0) =
-phi(z,0) = 0.  The characteristic determinant
+One sweep from 0 to R produces the fundamental system (theta, phi)
+normalized by theta(z,0) = phi'(z,0) = 1, theta'(z,0) = phi(z,0) = 0.  The
+characteristic determinant
 
     Delta(z,R,theta0,thetaR) = cos(theta0) cos(thetaR) phi(z,R)
                              - cos(theta0) sin(thetaR) phi'(z,R)
@@ -14,17 +14,27 @@ distinguished basis u-, u+ (boundary condition at 0 resp. R, unit value at
 the opposite endpoint) has closed endpoint data in terms of Delta values:
 no second solve and no boundary-value iteration is needed.
 
+How a sweep propagates depends only on the kind of V.  A zero or
+piecewise-constant V is propagated exactly: each knot-to-knot piece applies
+its trig rotation (potential.trig_piece), so the result is exact to
+rounding and tol is not used.  A sampled V is integrated by adaptive
+Dormand-Prince 5(4) at tol, with the knots as forced step boundaries so the
+integrator keeps its order across kinks of V.
+
+Solution data are mantissas times e^log_scale: the exact path pulls
+e^|Im k d| out of every piece, so nothing overflows however large |z| is
+(DP54 keeps log_scale = 0).  Ratios (maps, m-functions, u+-/Delta, Green's
+function) read the mantissas; absolute values and zero tests add log_scale.
+
 Everything at one (V, z, tol) derives from one Solution: the sweep, and per
 angle pair the u-, u+ endpoint data and interior tables.  solution() keeps
 the last Solution only, so consecutive calls at the same (V, z, tol) share
 it and distinct problems never do.
-
-Interior knots of piecewise potentials are forced step boundaries so the
-integrator keeps its order across jumps of V.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import math
@@ -32,7 +42,8 @@ from dataclasses import dataclass
 
 from .errors import (AccuracyError, DomainError, NearEigenvalueError,
                      StiffnessError)
-from .potential import PotentialSpec, is_near_eigenvalue, make_eval
+from .potential import (PotentialSpec, is_near_eigenvalue, make_eval,
+                        trig_piece, unscale)
 
 DEFAULT_TOL = 1e-10
 
@@ -62,14 +73,24 @@ class CauchyData:
 
 @dataclass(frozen=True)
 class FundamentalEval:
-    """(theta, theta', phi, phi') at x; Wronskian theta*phi' - theta'*phi = 1."""
+    """(theta, theta', phi, phi') at x; Wronskian theta*phi' - theta'*phi = 1.
 
-    theta: complex
-    dtheta: complex
-    phi: complex
-    dphi: complex
+    Held as mantissas (same order) times e^log_scale.  Each named value is
+    the true one, or AccuracyError when that does not fit in a double.
+    """
+
+    mantissas: tuple
+    log_scale: float
     z: complex
     x: float
+
+    def _value(self, i: int) -> complex:
+        return unscale(self.mantissas[i], self.log_scale, self.z, self.x)
+
+    theta = property(lambda self: self._value(0))
+    dtheta = property(lambda self: self._value(1))
+    phi = property(lambda self: self._value(2))
+    dphi = property(lambda self: self._value(3))
 
     def wronskian(self) -> complex:
         return self.theta * self.dphi - self.dtheta * self.phi
@@ -182,19 +203,43 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tol = {tol} must be positive and finite")
 
 
+def _check_z(z: complex) -> None:
+    if not cmath.isfinite(z):
+        raise DomainError(f"z = {z} must be finite")
+
+
 def _propagate_vec(V: PotentialSpec, z: complex, x0: float, y0: tuple,
                    x1: float, tol: float) -> tuple:
+    """(y, log_scale): the (value, derivative) pairs of y0 at x0 carried to
+    x1, as mantissas y times e^log_scale."""
     _check_tol(tol)
-    vx = make_eval(V)
-
-    def qfun(x):
-        return vx(x) - z
-
-    y = y0
+    _check_z(z)
     pts = _split_at_knots(V, x0, x1)
+    if V.kind == "sampled":
+        vx = make_eval(V)
+
+        def qfun(x):
+            return vx(x) - z
+
+        y = y0
+        for a, b in zip(pts, pts[1:]):
+            y = _rk_segment(qfun, a, y, b, tol)
+            if not all(map(cmath.isfinite, y)):
+                raise AccuracyError(f"the solution state is not finite at "
+                                    f"x = {b} (z = {z})", z=z, x=b)
+        return y, 0.0
+    # zero or piecewise constant: one exact rotation per knot-to-knot piece
+    y, log_scale = list(y0), 0.0
     for a, b in zip(pts, pts[1:]):
-        y = _rk_segment(qfun, a, y, b, tol)
-    return y
+        v = (V.values[bisect.bisect_right(V.breakpoints, 0.5 * (a + b))]
+             if V.values else 0.0)
+        c, s, beta = trig_piece(z - v, b - a)
+        ks = (v - z) * s
+        for i in range(0, len(y), 2):
+            u, du = y[i], y[i + 1]
+            y[i], y[i + 1] = c * u + s * du, ks * u + c * du
+        log_scale += beta
+    return tuple(y), log_scale
 
 
 def propagate(V: PotentialSpec, z: complex, data: CauchyData, to_x: float,
@@ -202,32 +247,36 @@ def propagate(V: PotentialSpec, z: complex, data: CauchyData, to_x: float,
     """Propagate solution data to to_x (left or right), local error ~ tol."""
     if not (0.0 <= data.x <= V.R and 0.0 <= to_x <= V.R):
         raise DomainError("propagation endpoints must lie in [0, R]")
-    u, du = _propagate_vec(V, z, data.x, (data.u, data.du), to_x, tol)
-    return CauchyData(u, du, to_x)
+    (u, du), log_scale = _propagate_vec(V, z, data.x, (data.u, data.du),
+                                        to_x, tol)
+    return CauchyData(unscale(u, log_scale, z, to_x),
+                      unscale(du, log_scale, z, to_x), to_x)
 
 
 def fundamental_system(V: PotentialSpec, z: complex, x: float,
                        tol: float = DEFAULT_TOL) -> FundamentalEval:
     """theta, phi and derivatives at x, both propagated in one sweep."""
-    y = _propagate_vec(V, z, 0.0, (1.0 + 0j, 0.0 + 0j, 0.0 + 0j, 1.0 + 0j),
-                       x, tol)
-    return FundamentalEval(theta=y[0], dtheta=y[1], phi=y[2], dphi=y[3],
-                           z=z, x=x)
+    y, log_scale = _propagate_vec(
+        V, z, 0.0, (1.0 + 0j, 0.0 + 0j, 0.0 + 0j, 1.0 + 0j), x, tol)
+    return FundamentalEval(y, log_scale, z, x)
 
 
 def delta_from_fs(fs: FundamentalEval, theta0: complex, thetaR: complex) -> complex:
-    """Delta evaluated from an already computed fundamental system at x = R."""
+    """The mantissa of Delta, from an already computed fundamental system at
+    x = R: Delta = delta_from_fs(fs, ...) e^fs.log_scale."""
     c0, s0 = cmath.cos(theta0), cmath.sin(theta0)
     cR, sR = cmath.cos(thetaR), cmath.sin(thetaR)
-    return (c0 * cR * fs.phi - c0 * sR * fs.dphi
-            - s0 * cR * fs.theta + s0 * sR * fs.dtheta)
+    th, dth, ph, dph = fs.mantissas
+    return c0 * cR * ph - c0 * sR * dph - s0 * cR * th + s0 * sR * dth
 
 
 def char_det(V: PotentialSpec, z: complex, theta0: complex, thetaR: complex,
              tol: float = DEFAULT_TOL) -> complex:
     """Characteristic determinant; zeros = eigenvalues of the Robin
-    realization with angles (theta0, thetaR)."""
-    return delta_from_fs(solution(V, z, tol).fs, theta0, thetaR)
+    realization with angles (theta0, thetaR).  AccuracyError when it does
+    not fit in a double."""
+    fs = solution(V, z, tol).fs
+    return unscale(delta_from_fs(fs, theta0, thetaR), fs.log_scale, z, V.R)
 
 
 def basis_endpoints(V: PotentialSpec, z: complex, theta0: complex,
@@ -264,6 +313,7 @@ class Solution:
     one BasisView per angle pair asked for."""
 
     def __init__(self, V: PotentialSpec, z: complex, tol: float):
+        _check_z(z)   # before the sweep, so a bad z costs no propagation
         self.V = V
         self.z = z
         self.tol = tol
@@ -290,39 +340,47 @@ class BasisView:
     the Green's function G(x, x') = u-(min) u+(max) / W built on them.
 
     The tables hold u- and u+ from unit-size start data, (-sin theta0,
-    cos theta0) at 0 and (-sin thetaR, -cos thetaR) at R.  A new x is
-    propagated from the nearest tabulated point on the side the solution
-    grows from (rightward for u-, leftward for u+): for Im sqrt(z) > 0 the
-    complementary mode then decays and the relative step control holds.
-    Values are divided by Delta(theta0, 0) resp. Delta(0, thetaR) only on
-    output, which gives the normalization u-(R) = u+(0) = 1.
+    cos theta0) at 0 and (-sin thetaR, -cos thetaR) at R, as (mantissas,
+    log scale).  A new x is propagated from the nearest tabulated point on
+    the side the solution grows from (rightward for u-, leftward for u+):
+    for Im sqrt(z) > 0 the complementary mode then decays and the relative
+    step control holds.  Values are divided by Delta(theta0, 0) resp.
+    Delta(0, thetaR) only on output, which gives the normalization
+    u-(R) = u+(0) = 1; the Green's function nets the scales of u-, u+ and
+    W before applying them, so it stays finite at any |z|.
     """
 
     def __init__(self, sol: Solution, theta0: complex, thetaR: complex):
         fs, R = sol.fs, sol.V.R
         self.sol = sol
+        self._log = fs.log_scale
         d_minus = delta_from_fs(fs, theta0, 0.0)   # cos(theta0) phi(R) - sin(theta0) theta(R)
         d_plus = delta_from_fs(fs, 0.0, thetaR)    # cos(thetaR) phi(R) - sin(thetaR) phi'(R)
         for name, th0, thR, d in (("H_{theta0,0}", theta0, 0.0, d_minus),
                                   ("H_{0,thetaR}", 0.0, thetaR, d_plus)):
             if is_near_eigenvalue(d, sol.z, R, th0, thR,
-                                  max(1e-12, 50.0 * sol.tol)):
+                                  max(1e-12, 50.0 * sol.tol), self._log):
                 raise NearEigenvalueError(
                     f"z = {sol.z} is numerically an eigenvalue of the auxiliary "
                     f"operator {name}; the u+/- normalization does not exist",
                     z=sol.z, operator=name)
         c0, s0 = cmath.cos(theta0), cmath.sin(theta0)
         cR, sR = cmath.cos(thetaR), cmath.sin(thetaR)
+        th, dth, _, dph = fs.mantissas
         # sign -1: u-, sign +1: u+; the far endpoint comes from the sweep
-        self._scale = {-1: d_minus, 1: d_plus}
+        self._delta = {-1: d_minus, 1: d_plus}
         self._table = {
-            -1: {0.0: (-s0, c0), R: (d_minus, c0 * fs.dphi - s0 * fs.dtheta)},
-            1: {R: (-sR, -cR), 0.0: (d_plus, sR * fs.dtheta - cR * fs.theta)}}
+            -1: {0.0: ((-s0, c0), 0.0),
+                 R: ((d_minus, c0 * dph - s0 * dth), self._log)},
+            1: {R: ((-sR, -cR), 0.0),
+                0.0: ((d_plus, sR * dth - cR * th), self._log)}}
         self.endpoints = BasisEndpoints(
             uminus_at_0=self._data(-1, 0.0), uminus_at_R=self._data(-1, R),
             uplus_at_0=self._data(1, 0.0), uplus_at_R=self._data(1, R), z=sol.z)
 
-    def _data(self, sign: int, x: float) -> CauchyData:
+    def scaled(self, sign: int, x: float) -> tuple:
+        """(u(x) e^-g, g) for u- (sign -1) or u+ (sign +1): the data as
+        CauchyData of mantissas, and their log scale g."""
         table = self._table[sign]
         hit = table.get(x)
         if hit is None:
@@ -331,10 +389,17 @@ class BasisView:
                 raise DomainError(f"x = {x} outside [0, {sol.V.R}]")
             start = (max(k for k in table if k <= x) if sign < 0
                      else min(k for k in table if k >= x))
-            hit = table[x] = _propagate_vec(sol.V, sol.z, start, table[start],
-                                            x, sol.tol)
-        d = self._scale[sign]
-        return CauchyData(hit[0] / d, hit[1] / d, x)
+            y, log_scale = table[start]
+            y, step = _propagate_vec(sol.V, sol.z, start, y, x, sol.tol)
+            hit = table[x] = (y, log_scale + step)
+        (u, du), log_scale = hit
+        d = self._delta[sign]
+        return CauchyData(u / d, du / d, x), log_scale - self._log
+
+    def _data(self, sign: int, x: float) -> CauchyData:
+        m, g = self.scaled(sign, x)
+        scale = math.exp(g)
+        return CauchyData(m.u * scale, m.du * scale, x)
 
     def uminus(self, x: float) -> CauchyData:
         return self._data(-1, x)
@@ -343,22 +408,37 @@ class BasisView:
         return self._data(1, x)
 
     @functools.cached_property
+    def _w(self) -> complex:
+        """W(u+, u-) e^log_scale: each Wronskian term pairs an endpoint value
+        that carries e^-log_scale (u-(0), u+(R)) with one that carries 1."""
+        R = self.sol.V.R
+        return wronskian(BasisEndpoints(
+            *(self.scaled(sign, x)[0] for sign, x in ((-1, 0.0), (-1, R),
+                                                        (1, 0.0), (1, R))),
+            z=self.sol.z))
+
+    @property
     def w(self) -> complex:
-        return wronskian(self.endpoints)
+        return self._w * math.exp(-self._log)
+
+    def _kernel(self, lo: float, dlo: bool, hi: float, dhi: bool) -> complex:
+        """u-(lo) u+(hi) / W, with u-' if dlo and u+' if dhi."""
+        (um, gm), (up, gp) = self.scaled(-1, lo), self.scaled(1, hi)
+        return ((um.du if dlo else um.u) * (up.du if dhi else up.u) / self._w
+                * math.exp(gm + gp + self._log))
 
     def __call__(self, x: float, xp: float) -> complex:
         lo, hi = (x, xp) if x <= xp else (xp, x)
-        return self.uminus(lo).u * self.uplus(hi).u / self.w
+        return self._kernel(lo, False, hi, False)
 
     def d1(self, x: float, xp: float) -> complex:
         """d/dx G on the wedge containing (x, xp); on the diagonal the
         x < x' wedge is used."""
         if x <= xp:
-            return self.uminus(x).du * self.uplus(xp).u / self.w
-        return self.uminus(xp).u * self.uplus(x).du / self.w
+            return self._kernel(x, True, xp, False)
+        return self._kernel(xp, False, x, True)
 
     def d2(self, x: float, xp: float) -> complex:
         if x <= xp:
-            return self.uminus(x).u * self.uplus(xp).du / self.w
-        return self.uminus(xp).du * self.uplus(x).u / self.w
-
+            return self._kernel(x, False, xp, True)
+        return self._kernel(xp, True, x, False)

@@ -9,7 +9,10 @@ The free (V = 0) problem has closed-form solutions built from the pair
 from which the free boundary data map and Green's function follow.  The
 second oracle covers piecewise-constant potentials, where the propagator of
 the Schrodinger equation on each piece is an explicit trig/hyperbolic
-rotation with wavenumber sqrt(z - v).
+rotation with wavenumber sqrt(z - v).  Both are built on trig_piece, the
+one piece routine, which odecore also propagates with; it returns the
+rotation with e^|Im k d| pulled out, so f, g and transfer products are
+formed as mantissas and log scales that cannot overflow.
 
 sqrt(z) is always taken with Im >= 0 (nonnegative real root for z >= 0);
 every module shares this branch.
@@ -24,10 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EigenvalueHitError
-
-# below this |z| s^2 the sin(sqrt(z) s)/sqrt(z) style terms switch to series
-SERIES_CUTOFF = 1e-4
+from .errors import AccuracyError, DomainError, EigenvalueHitError
 
 
 def sqrt_upper(z: complex) -> complex:
@@ -38,38 +38,56 @@ def sqrt_upper(z: complex) -> complex:
     return w
 
 
-def _sin_series(w: complex) -> complex:
-    # sin(sqrt(w) s)/(sqrt(w) s) as a series in w = z*s^2, |w| small
-    return 1.0 - w / 6.0 + w * w / 120.0 - w * w * w / 5040.0
+def trig_piece(k2: complex, d: float) -> tuple:
+    """(c, s, beta) with cos(k d) = c e^beta, sin(k d)/k = s e^beta and
+    beta = |Im(k d)|, for k^2 = k2 and d of either sign.
+
+    The one piece routine: on a piece where V = v the solution data
+    propagate by [[cos kd, sin(kd)/k], [-k^2 sin(kd)/k, cos kd]] with
+    k^2 = z - v, and pulling e^beta out keeps |c| <= 1 and |k s| <= 1
+    whatever |z| is.
+    """
+    if k2 == 0:
+        return 1.0 + 0j, complex(d), 0.0
+    k = sqrt_upper(k2)
+    w = k * d
+    beta = abs(w.imag)
+    if beta < 1.0:
+        damp = math.exp(-beta)
+        return cmath.cos(w) * damp, cmath.sin(w) / k * damp, beta
+    # cos w = e^(-i w~)(1 + e^(2i w~))/2 with w~ = w sign(Im w), |e^(2i w~)| < 1
+    sign = 1.0 if w.imag > 0.0 else -1.0
+    head = cmath.exp(-1j * sign * w.real)
+    tail = cmath.exp(2j * sign * w)
+    return 0.5 * head * (1.0 + tail), 0.5j * sign * head * (1.0 - tail) / k, beta
 
 
-def _cos_series(w: complex) -> complex:
-    return 1.0 - w / 2.0 + w * w / 24.0 - w * w * w / 720.0
+def unscale(m: complex, log_scale: float, z=None, x=None) -> complex:
+    """m e^log_scale, or AccuracyError when it does not fit in a double."""
+    if m == 0 or log_scale == 0.0:
+        return m
+    half = 0.5 * log_scale
+    try:
+        v = m * math.exp(half) * math.exp(half)
+    except OverflowError:
+        v = math.inf
+    if not cmath.isfinite(v):
+        raise AccuracyError(f"a value at x = {x} (z = {z}) does not fit in a "
+                            f"double: log scale {log_scale:.6g}", z=z, x=x)
+    return v
 
 
-def sinc_sqrt(z: complex, s: float) -> complex:
-    """sin(sqrt(z) s)/sqrt(z), entire in z (equals s at z = 0)."""
-    w = z * s * s
-    if abs(w) < SERIES_CUTOFF:
-        return s * _sin_series(w)
-    rt = sqrt_upper(z)
-    return cmath.sin(rt * s) / rt
-
-
-def cos_sqrt(z: complex, s: float) -> complex:
-    """cos(sqrt(z) s), entire in z."""
-    w = z * s * s
-    if abs(w) < SERIES_CUTOFF:
-        return _cos_series(w)
-    return cmath.cos(sqrt_upper(z) * s)
+def _f_scaled(z: complex, s: float, alpha: complex, beta: complex) -> tuple:
+    """f(z,s,alpha,beta)/sqrt(z) = m e^g as (m, g), g = Im sqrt(z) s."""
+    sa, sb = cmath.sin(alpha), cmath.sin(beta)
+    ca, cb = cmath.cos(alpha), cmath.cos(beta)
+    c, snc, g = trig_piece(z, s)
+    return z * sa * sb * snc + cmath.sin(alpha + beta) * c - ca * cb * snc, g
 
 
 def _f_reduced(z: complex, s: float, alpha: complex, beta: complex) -> complex:
     """f(z,s,alpha,beta)/sqrt(z): entire in z, safe at z = 0."""
-    sa, sb = cmath.sin(alpha), cmath.sin(beta)
-    ca, cb = cmath.cos(alpha), cmath.cos(beta)
-    snc = sinc_sqrt(z, s)
-    return z * sa * sb * snc + cmath.sin(alpha + beta) * cos_sqrt(z, s) - ca * cb * snc
+    return unscale(*_f_scaled(z, s, alpha, beta))
 
 
 def _g_reduced(z: complex, s: float, alpha: complex, beta: complex) -> complex:
@@ -227,9 +245,11 @@ def log_delta_scale(z: complex, R: float, theta0: complex,
 
 
 def is_near_eigenvalue(delta: complex, z: complex, R: float, theta0: complex,
-                       thetaR: complex, floor: float) -> bool:
-    """Whether Delta(z; theta0, thetaR) counts as zero: |Delta| < floor *
-    scale, in log space so large-|z| scales cannot overflow.
+                       thetaR: complex, floor: float,
+                       log_scale: float = 0.0) -> bool:
+    """Whether Delta(z; theta0, thetaR) = delta e^log_scale counts as zero:
+    |Delta| < floor * scale, in log space so large-|z| scales cannot
+    overflow.
 
     The floor is the caller's: a determinant computed at tolerance tol
     carries O(tol) relative error, so exact spectral hits land at
@@ -237,14 +257,14 @@ def is_near_eigenvalue(delta: complex, z: complex, R: float, theta0: complex,
     """
     if delta == 0.0:
         return True
-    return math.log(abs(delta)) < (math.log(floor)
-                                   + log_delta_scale(z, R, theta0, thetaR))
+    return math.log(abs(delta)) + log_scale < (
+        math.log(floor) + log_delta_scale(z, R, theta0, thetaR))
 
 
-def _raise_if_free_eigenvalue(fr: complex, z: complex, R: float,
+def _raise_if_free_eigenvalue(fr: complex, g: float, z: complex, R: float,
                               theta0: complex, thetaR: complex) -> None:
-    # fr is the entire part f/sqrt(z) = -Delta of the free problem
-    if is_near_eigenvalue(fr, z, R, theta0, thetaR, 1e-12):
+    # fr e^g is the entire part f/sqrt(z) = -Delta of the free problem
+    if is_near_eigenvalue(fr, z, R, theta0, thetaR, 1e-12, g):
         raise EigenvalueHitError(
             f"z = {z} is an eigenvalue of the free operator with angles "
             f"({theta0}, {thetaR})", z=z, operator="H0")
@@ -253,48 +273,46 @@ def _raise_if_free_eigenvalue(fr: complex, z: complex, R: float,
 def oracle_bdmap_zero(z: complex, R: float, theta0: complex,
                       thetaR: complex) -> np.ndarray:
     """Exact Robin-to-Robin map of the free problem (entries g/f, -sqrt(z)/f,
-    written through the entire parts so z = 0 is a removable point)."""
-    fr = _f_reduced(z, R, theta0, thetaR)
-    _raise_if_free_eigenvalue(fr, z, R, theta0, thetaR)
-    m11 = _g_reduced(z, R, theta0, thetaR) / fr
-    m22 = _g_reduced(z, R, thetaR, theta0) / fr
-    off = -1.0 / fr
+    written through the entire parts so z = 0 is a removable point).  f and
+    g share the scale e^(Im sqrt(z) R), so only the off-diagonal sees it."""
+    fr, g = _f_scaled(z, R, theta0, thetaR)
+    _raise_if_free_eigenvalue(fr, g, z, R, theta0, thetaR)
+    m11 = _f_scaled(z, R, theta0 + math.pi / 2.0, thetaR)[0] / fr
+    m22 = _f_scaled(z, R, thetaR + math.pi / 2.0, theta0)[0] / fr
+    off = -math.exp(-g) / fr
     return np.array([[m11, off], [off, m22]], dtype=complex)
 
 
 def oracle_green_zero(z: complex, R: float, theta0: complex, thetaR: complex,
                       x: float, xp: float) -> complex:
-    """Exact Green's function of the free problem."""
+    """Exact Green's function of the free problem, with the scales of its
+    three f factors netted before they are applied."""
     if not (0.0 <= x <= R and 0.0 <= xp <= R):
         raise DomainError("x, x' must lie in [0, R]")
-    fr = _f_reduced(z, R, theta0, thetaR)
-    _raise_if_free_eigenvalue(fr, z, R, theta0, thetaR)
+    fr, g = _f_scaled(z, R, theta0, thetaR)
+    _raise_if_free_eigenvalue(fr, g, z, R, theta0, thetaR)
     lo, hi = (x, xp) if x <= xp else (xp, x)
-    return -_f_reduced(z, lo, theta0, 0.0) * _f_reduced(z, R - hi, 0.0, thetaR) / fr
-
-
-def _piece_matrix(k2: complex, d: float) -> np.ndarray:
-    """Propagator over length d for u'' = -k2 u (k2 = z - v)."""
-    c = cos_sqrt(k2, d)
-    s = sinc_sqrt(k2, d)           # sin(k d)/k, equals d at k = 0
-    return np.array([[c, s], [-k2 * s, c]], dtype=complex)
+    f_lo, g_lo = _f_scaled(z, lo, theta0, 0.0)
+    f_hi, g_hi = _f_scaled(z, R - hi, 0.0, thetaR)
+    return -f_lo * f_hi / fr * math.exp(g_lo + g_hi - g)
 
 
 def transfer_matrix_piecewise(V: PotentialSpec, z: complex, a: float,
                               b: float) -> np.ndarray:
     """Exact 2x2 propagator T with (u(b), u'(b))^T = T (u(a), u'(a))^T for
-    piecewise-constant V; det T = 1."""
-    if V.kind != "piecewise_constant" and not (V.kind == "zero"):
+    piecewise-constant V; det T = 1.  AccuracyError when an entry does not
+    fit in a double."""
+    if V.kind not in ("zero", "piecewise_constant"):
         raise DomainError("transfer matrices require a piecewise-constant potential")
     if not (0.0 <= a <= b <= V.R):
         raise DomainError("need 0 <= a <= b <= R")
-    if V.kind == "zero":
-        return _piece_matrix(z, b - a)
     edges = (0.0,) + V.breakpoints + (V.R,)
-    T = np.eye(2, dtype=complex)
-    for i, v in enumerate(V.values):
+    T, log_scale = np.eye(2, dtype=complex), 0.0
+    for i, v in enumerate(V.values or (0.0,)):
         lo = max(edges[i], a)
         hi = min(edges[i + 1], b)
         if hi > lo:
-            T = _piece_matrix(z - v, hi - lo) @ T
-    return T
+            c, s, beta = trig_piece(z - v, hi - lo)
+            T = np.array([[c, s], [(v - z) * s, c]]) @ T
+            log_scale += beta
+    return np.array([[unscale(t, log_scale, z, b) for t in row] for row in T])

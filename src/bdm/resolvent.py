@@ -23,9 +23,6 @@ from .odecore import DEFAULT_TOL, BasisView, solution
 from .potential import PotentialSpec
 from .traces import AnglePair, AngleQuad, trace_gamma
 
-P1 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-P2 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-
 
 @dataclass(frozen=True)
 class GreenEval:
@@ -160,9 +157,10 @@ class RankTwoKernel:
     right: tuple
 
     def __call__(self, x: float, xp: float) -> complex:
-        lx = np.array([f(x) for f in self.left], dtype=complex)
-        rx = np.array([f(xp) for f in self.right], dtype=complex)
-        return complex(lx @ self.coupling @ rx)
+        lx = [f(x) for f in self.left]
+        rx = [f(xp) for f in self.right]
+        return sum(lj * c * rk for lj, row in zip(lx, self.coupling.tolist())
+                   for c, rk in zip(row, rx))
 
 
 _SAME_ANGLE_TOL = 1e-14
@@ -186,19 +184,18 @@ def krein_kernel(V: PotentialSpec, R: float, pair: AnglePair,
     sameR = _angles_equal(primed.thetaR, pair.thetaR)
     if same0 and sameR:
         return None
-    quad = AngleQuad(pair, primed)
     rows = gamma_resolvent_rows(V, R, pair, primed, z, tol)
-    lam = bdmap_general(V, R, quad, z, tol).matrix
-    lam_inv = np.linalg.inv(lam)
-    d0, dR = quad.diffs
-    if not same0 and not sameR:
-        s_inv = np.array([[1.0 / cmath.sin(d0), 0.0],
-                          [0.0, 1.0 / cmath.sin(dR)]], dtype=complex)
-        middle = s_inv @ lam_inv
-    elif sameR:  # only theta0 changed
-        middle = (1.0 / cmath.sin(d0)) * (P1 @ lam_inv @ P1)
-    else:        # only thetaR changed
-        middle = (1.0 / cmath.sin(dR)) * (P2 @ lam_inv @ P2)
+    # Lambda^-1 by the group law: the map from the primed traces back
+    lam_inv = bdmap_general(V, R, AngleQuad(primed, pair), z, tol).matrix
+    d0, dR = AngleQuad(pair, primed).diffs
+    middle = np.zeros((2, 2), dtype=complex)
+    if not same0 and not sameR:  # S^-1 Lambda^-1
+        middle[0] = lam_inv[0] / cmath.sin(d0)
+        middle[1] = lam_inv[1] / cmath.sin(dR)
+    elif sameR:  # only theta0 changed: P1 Lambda^-1 P1 / sin
+        middle[0, 0] = lam_inv[0, 0] / cmath.sin(d0)
+    else:        # only thetaR changed: P2 Lambda^-1 P2 / sin
+        middle[1, 1] = lam_inv[1, 1] / cmath.sin(dR)
     # both factors are the trace-row kernels of gamma_{primed} (H - z)^-1
     return RankTwoKernel(left=rows, coupling=middle, right=rows)
 

@@ -1,5 +1,10 @@
 """Eigenvalue localization as zeros of the characteristic determinant.
 
+All searches run on the mantissa of Delta (odecore.delta_from_fs): a
+positive factor e^-log_scale away from Delta, so it has the same zeros, the
+same phase and, on the real axis, the same sign, and it stays finite where
+Delta itself would overflow.
+
 Self-adjoint case: Delta is real-analytic on the real axis with simple
 zeros (separated boundary conditions), so sign-change bracketing on a grid
 seeded by the free-problem guesses ((n + sigma) pi / R)^2 plus
@@ -17,8 +22,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import ContourError, DomainError, SearchFailureError
-from .odecore import DEFAULT_TOL, _check_tol, char_det
-from .potential import PotentialSpec, is_near_eigenvalue
+from .odecore import DEFAULT_TOL, _check_tol, delta_from_fs, solution
+from .potential import PotentialSpec, is_near_eigenvalue, unscale
 from .traces import AnglePair, angles_mod_pi_zero
 
 
@@ -34,16 +39,28 @@ class SpectrumResult:
 
 
 def _delta_fn(V: PotentialSpec, pair: AnglePair, tol: float):
+    """z -> (mantissa, log scale) of Delta(z; theta0, thetaR), memoized."""
     cache = {}
 
     def f(z):
         hit = cache.get(z)
         if hit is None:
-            hit = char_det(V, z, pair.theta0, pair.thetaR, tol)
-            cache[z] = hit
+            fs = solution(V, z, tol).fs
+            hit = cache[z] = (delta_from_fs(fs, pair.theta0, pair.thetaR),
+                              fs.log_scale)
         return hit
 
     return f
+
+
+def _is_root(f, z: complex, R: float, pair: AnglePair, floor: float) -> bool:
+    delta, log_scale = f(z)
+    return is_near_eigenvalue(delta, z, R, pair.theta0, pair.thetaR, floor,
+                              log_scale)
+
+
+def _residual(f, lam: complex) -> float:
+    return abs(unscale(*f(lam), lam))
 
 
 def _newton_polish(f, z0: complex, R: float, tol: float, real_line: bool):
@@ -52,10 +69,10 @@ def _newton_polish(f, z0: complex, R: float, tol: float, real_line: bool):
     z = z0
     for _ in range(60):
         h = 1e-6 * max(1.0, abs(z))
-        df = (f(z + h) - f(z - h)) / (2.0 * h)
+        df = (f(z + h)[0] - f(z - h)[0]) / (2.0 * h)
         if df == 0.0:
             break
-        step = f(z) / df
+        step = f(z)[0] / df
         z = z - step
         if real_line:
             z = complex(z.real, 0.0)
@@ -123,7 +140,7 @@ def eig_selfadjoint(V: PotentialSpec, R: float, pair: AnglePair, n_max: int,
     for i in range(n_pos + 1):
         s = s_top * i / n_pos
         pts.append(s * s)
-    vals = [f_scan(p).real for p in pts]
+    vals = [f_scan(p)[0].real for p in pts]
 
     roots = []
     for i in range(len(pts) - 1):
@@ -134,7 +151,7 @@ def eig_selfadjoint(V: PotentialSpec, R: float, pair: AnglePair, n_max: int,
         if fa * fb < 0.0:
             for _ in range(10):
                 m = 0.5 * (a + b)
-                fm = f_scan(m).real
+                fm = f_scan(m)[0].real
                 if fm == 0.0:
                     a = b = m
                     break
@@ -149,8 +166,7 @@ def eig_selfadjoint(V: PotentialSpec, R: float, pair: AnglePair, n_max: int,
 
     # dedupe near-coincident refinements; keep those with a small residual
     cleaned = [lam for lam, _ in _merge_close((lam, 1) for lam in roots)
-               if is_near_eigenvalue(f(lam), lam, R, pair.theta0, pair.thetaR,
-                                     max(tol, 1e-10))]
+               if _is_root(f, lam, R, pair, max(tol, 1e-10))]
     found = cleaned[:n_max]
     if len(found) < n_max:
         raise SearchFailureError(
@@ -167,7 +183,7 @@ def eig_selfadjoint(V: PotentialSpec, R: float, pair: AnglePair, n_max: int,
                 f"bracket count {len(found)} disagrees with argument-"
                 f"principle count {n_rect} on {rect}")
 
-    res = tuple(abs(f(lam)) for lam in found)
+    res = tuple(_residual(f, lam) for lam in found)
     return SpectrumResult(tuple(complex(lam) for lam in found), res,
                           window=f"real line [{e_min:.6g}, {s_top**2:.6g}]",
                           multiplicities=tuple(1 for _ in found))
@@ -201,8 +217,7 @@ def _phase_winding(f, corners, R, pair, floor):
             if hit is None:
                 z = a + (b - a) * t
                 hit = f(z)
-                if is_near_eigenvalue(hit, z, R, pair.theta0, pair.thetaR,
-                                      floor):
+                if _is_root(f, z, R, pair, floor):
                     raise ContourError(
                         f"determinant vanishes near contour point {z}",
                         suggested_inflation=1.5)
@@ -213,10 +228,11 @@ def _phase_winding(f, corners, R, pair, floor):
         stack = [(i / n0, (i + 1) / n0) for i in reversed(range(n0))]
         while stack:
             t0, t1 = stack.pop()
-            w0, w1 = val(t0), val(t1)
+            (w0, g0), (w1, g1) = val(t0), val(t1)
             dphi = cmath.phase(w1 / w0)
-            ratio = abs(w1) / abs(w0)
-            if abs(dphi) < 0.5 * math.pi and 0.25 < ratio < 4.0:
+            # |Delta(t1)/Delta(t0)| in log space: the scales differ freely
+            log_ratio = math.log(abs(w1) / abs(w0)) + g1 - g0
+            if abs(dphi) < 0.5 * math.pi and abs(log_ratio) < math.log(4.0):
                 total += dphi
                 continue
             if t1 - t0 < 1e-9:
@@ -306,6 +322,6 @@ def eig_rectangle(V: PotentialSpec, R: float, pair: AnglePair, rect,
             _count_box(f_scan, (re0, re1, im0, im1), R, pair, scan_tol))
     merged = _merge_close(found)
     eigs = tuple(lam for lam, _ in merged)
-    return SpectrumResult(eigs, tuple(abs(f(lam)) for lam in eigs),
+    return SpectrumResult(eigs, tuple(_residual(f, lam) for lam in eigs),
                           window=f"rectangle {rect}",
                           multiplicities=tuple(n for _, n in merged))

@@ -45,8 +45,9 @@ def wt_m(V: PotentialSpec, R: float, z: complex, x0: float, xi: complex,
         raise DomainError("reference points must lie in [0, R]")
     cxi, sxi = cmath.cos(xi), cmath.sin(xi)
     # columns (theta, theta') = (cos xi, sin xi), (phi, phi') = (-sin xi, cos xi)
-    y = _propagate_vec(V, z, x0, (cxi, sxi, -sxi, cxi), y0, tol)
-    th, dth, ph, dph = y
+    # a ratio of two combinations: the log scale cancels
+    (th, dth, ph, dph), _ = _propagate_vec(V, z, x0, (cxi, sxi, -sxi, cxi),
+                                           y0, tol)
     ce, se = cmath.cos(eta), cmath.sin(eta)
     den = ce * ph - se * dph
     num = ce * th - se * dth
@@ -89,8 +90,8 @@ def interior_m(V: PotentialSpec, R: float, z: complex, x0: float, sign: int,
     if not 0.0 <= alpha < math.pi:
         raise DomainError("alpha must lie in [0, pi)")
     view = green_evaluator(V, R, pair, z, tol)
-    d = view.uplus(x0) if sign > 0 else view.uminus(x0)
-    # scale-free: a common factor of (u, u') cancels
+    # scale-free: a common factor of (u, u') cancels, so the mantissas do
+    d, _ = view.scaled(1 if sign > 0 else -1, x0)
     if abs(d.u) < max(1e-13, 50.0 * tol) * abs(d.du):
         raise PoleHitError(f"x0 = {x0} is a node of u{'+' if sign > 0 else '-'}")
     return _alpha_rotate(d.du / d.u, alpha)

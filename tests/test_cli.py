@@ -177,13 +177,16 @@ def test_eigenvalue_hit_is_numerical_error(free_dirichlet, tmp_path, capsys):
     assert code == 2
 
 
-def test_bdm_tol_env_override(free_dirichlet, tmp_path, monkeypatch):
-    # the env tolerance is honored unless the config or --tol pins one
+def test_bdm_tol_env_override(robin_sampled, free_dirichlet, monkeypatch):
+    # the env tolerance is honored unless the config or --tol pins one; a
+    # sampled V is integrated at tol, so a loose tol fails the suite
     monkeypatch.setenv("BDM_TOL", "1e-4")
-    code = run(["verify", "--config", free_dirichlet])
+    code = run(["verify", "--config", robin_sampled])
     assert code == 3
+    # a zero V is propagated exactly and does not use tol
+    assert run(["verify", "--config", free_dirichlet]) == 0
     monkeypatch.delenv("BDM_TOL")
-    code = run(["verify", "--config", free_dirichlet])
+    code = run(["verify", "--config", robin_sampled])
     assert code == 0
 
 

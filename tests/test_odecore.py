@@ -5,15 +5,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bdm import odecore
+from bdm.bdmap import (asymptotic_reference, bdmap_general, bdmap_robin,
+                       lambda_from_fs)
 from bdm.errors import AccuracyError, NearEigenvalueError
-from bdm.odecore import (CauchyData, basis_endpoints, char_det,
+from bdm.odecore import (CauchyData, basis_endpoints, char_det, delta_from_fs,
                          fundamental_system, propagate, wronskian)
-from bdm.potential import (PotentialSpec, sqrt_upper,
+from bdm.potential import (PotentialSpec, is_near_eigenvalue, make_eval,
+                           oracle_bdmap_zero, sqrt_upper,
                            transfer_matrix_piecewise)
 from bdm.resolvent import green, krein_correction
-from bdm.traces import AnglePair
+from bdm.traces import AnglePair, quad
 from bdm.weyl import wt_matrix
 
 SINH_PI = 11.548739357257748
@@ -298,3 +303,162 @@ def test_bad_tol_is_domain_error(tol):
         char_det(V, 2.0 + 1.0j, 0.3, 0.7, tol=tol)
     with pytest.raises(DomainError):
         bdmap_robin(V, math.pi, AnglePair(0.3, 0.7), 2.0 + 1.0j, tol=tol)
+
+
+# ------------------------------------------------ exact piecewise-constant path
+
+def _dp54_fundamental(V, z, tol):
+    """The fundamental system at R from DP54 alone (_rk_segment across the
+    knots), the reference for the exact piecewise-constant path."""
+    vx = make_eval(V)
+    y = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
+    pts = odecore._split_at_knots(V, 0.0, V.R)
+    for a, b in zip(pts, pts[1:]):
+        y = odecore._rk_segment(lambda x: vx(x) - z, a, y, b, tol)
+    return odecore.FundamentalEval(y, 0.0, z, V.R)
+
+
+_reals = st.floats(min_value=-5.0, max_value=5.0)
+_pieces = st.integers(min_value=1, max_value=4).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(min_value=0.2, max_value=math.pi - 0.2),
+             min_size=n - 1, max_size=n - 1, unique=True),
+    st.lists(st.builds(complex, _reals, st.floats(min_value=-1.0, max_value=1.0)),
+             min_size=n, max_size=n)))
+_angle = st.builds(complex, st.floats(min_value=0.1, max_value=6.2),
+                   st.sampled_from([0.0, 0.15, -0.2]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(pieces=_pieces, angles=st.lists(_angle, min_size=4, max_size=4),
+       log_r=st.floats(min_value=0.0, max_value=4.0),
+       arg=st.floats(min_value=0.15 * math.pi, max_value=0.85 * math.pi))
+def test_exact_maps_match_dp54(pieces, angles, log_r, arg):
+    R = math.pi
+    cuts, vals = pieces
+    cuts = sorted(cuts)
+    # DP54 cannot step across a piece shorter than its minimum step (1e-14)
+    assume(all(b - a > 1e-3 for a, b in zip(cuts, cuts[1:])))
+    V = PotentialSpec.piecewise_constant(cuts, vals, R)
+    z = 10.0 ** log_r * cmath.exp(1j * arg)
+    q = quad(*angles)
+    ref = _dp54_fundamental(V, z, 1e-12)
+    den = delta_from_fs(ref, q.base.theta0, q.base.thetaR)
+    # next to a pole the map itself is ill-conditioned for either backend
+    assume(not is_near_eigenvalue(den, z, R, q.base.theta0, q.base.thetaR, 1e-4))
+    expect = lambda_from_fs(ref, R, q)
+    got = bdmap_general(V, R, q, z).matrix
+    assert np.max(np.abs(got - expect)) <= 1e-8 * np.max(np.abs(expect))
+
+
+def test_large_z_maps_are_finite_and_right():
+    # both returned NaN when the exact path was DP54
+    R = math.pi
+    pair = AnglePair(1.0, 0.7)
+    lam = bdmap_robin(PotentialSpec.zero(R), R, pair, 1e6j).matrix
+    oracle = oracle_bdmap_zero(1e6j, R, 1.0, 0.7)
+    assert np.all(np.isfinite(lam))
+    assert np.max(np.abs(lam - oracle)) < 1e-10 * np.max(np.abs(oracle))
+    ref = asymptotic_reference(pair, 1e6j, R)
+    assert abs(lam[0, 0] / ref[0, 0] - 1.0) < 5e-3
+    assert abs(lam[1, 1] / ref[1, 1] - 1.0) < 5e-3
+    # interior m-functions are ratios of u+- data as well
+    M = wt_matrix(PotentialSpec.zero(R), R, 1e6j, 1.3, pair, 0.4).matrix
+    assert abs(np.linalg.det(M) + 0.25) < 1e-9
+
+    V = PotentialSpec.piecewise_constant([1.1, 2.0], [0.8 + 0.2j, -0.5, 0.4 - 0.3j], R)
+    q = quad(0.35, 0.75, 1.5, 2.4)
+    lam = bdmap_general(V, R, q, 3e5j).matrix
+    expect = _mp_piecewise_map(V, q, 3e5j)
+    assert np.all(np.isfinite(lam))
+    assert np.max(np.abs(lam - expect)) < 1e-10 * np.max(np.abs(expect))
+
+
+def _mp_piecewise_map(V, q, z):
+    """The general map from mpmath transfer matrices at 50 digits, whose
+    exponent range holds e^(Im sqrt(z) R) at any z used here."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        T = mpmath.eye(2)
+        edges = (0.0,) + V.breakpoints + (V.R,)
+        for v, a, b in zip(V.values, edges, edges[1:]):
+            k = mpmath.sqrt(mpmath.mpc(z) - mpmath.mpc(v))
+            if k.imag < 0:
+                k = -k
+            c, s = mpmath.cos(k * (b - a)), mpmath.sin(k * (b - a))
+            T = mpmath.matrix([[c, s / k], [-k * s, c]]) * T
+
+        def delta(t0, tR):
+            c0, s0 = mpmath.cos(t0), mpmath.sin(t0)
+            cR, sR = mpmath.cos(tR), mpmath.sin(tR)
+            return (c0 * cR * T[0, 1] - c0 * sR * T[1, 1]
+                    - s0 * cR * T[0, 0] + s0 * sR * T[1, 0])
+
+        (t0, tR), (t0p, tRp) = ((q.base.theta0, q.base.thetaR),
+                                (q.primed.theta0, q.primed.thetaR))
+        den = delta(t0, tR)
+        out = [[delta(t0p, tR) / den, mpmath.sin(t0p - t0) / den],
+               [mpmath.sin(tRp - tR) / den, delta(t0, tRp) / den]]
+        return np.array([[complex(v) for v in row] for row in out])
+
+
+@pytest.mark.parametrize("V, exact", [
+    (PotentialSpec.zero(math.pi), True),
+    (PotentialSpec.piecewise_constant([1.1, 2.0], [0.8, -0.5 + 0.3j, 0.4],
+                                      math.pi), True),
+    (PotentialSpec.sampled([0.0, 1.0, math.pi], [0.3, -1.0, 0.1], math.pi), False),
+])
+def test_dp54_runs_for_sampled_potentials_only(V, exact, monkeypatch):
+    calls = []
+    inner = odecore._rk_segment
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(odecore, "_rk_segment", counted)
+    odecore.solution.cache_clear()
+    bdmap_robin(V, math.pi, AnglePair(0.35, 0.75), 20.0 + 1.5j)
+    odecore.solution.cache_clear()
+    assert (len(calls) == 0) if exact else (len(calls) >= 1)
+
+
+def test_large_z_fundamental_system_does_not_fit():
+    # the true values are ~e^(707 pi): they raise instead of returning inf
+    V = PotentialSpec.zero(math.pi)
+    fs = fundamental_system(V, 1e6j, math.pi)
+    with pytest.raises(AccuracyError) as err:
+        fs.theta
+    assert err.value.z == 1e6j and err.value.x == math.pi
+    with pytest.raises(AccuracyError):
+        char_det(V, 1e6j, 0.3, 0.7)
+
+
+def test_sampled_non_finite_state_is_accuracy_error():
+    # DP54 overflows at this z; it returned NaN before
+    V = PotentialSpec.sampled([0.0, 1.0, 2.0, math.pi], [0.3, -1.0, 0.8, 0.1], math.pi)
+    with pytest.raises(AccuracyError) as err:
+        bdmap_robin(V, math.pi, AnglePair(1.0, 0.7), 1e6j)
+    assert err.value.z == 1e6j and err.value.x is not None
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, complex(1.0, math.inf)],
+                         ids=["nan", "inf", "1+inf*i"])
+@pytest.mark.parametrize("call", [
+    lambda V, z: bdmap_robin(V, math.pi, AnglePair(0.3, 0.7), z),
+    lambda V, z: char_det(V, z, 0.3, 0.7),
+    lambda V, z: green(V, math.pi, AnglePair(0.3, 0.7), z, 1.0, 2.0),
+], ids=["bdmap_robin", "char_det", "green"])
+def test_non_finite_z_rejected_before_any_propagation(call, z, monkeypatch):
+    from bdm.errors import DomainError
+    calls = []
+    inner = odecore._propagate_vec
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(odecore, "_propagate_vec", counted)
+    odecore.solution.cache_clear()
+    with pytest.raises(DomainError):
+        call(PotentialSpec.zero(math.pi), z)
+    assert calls == []

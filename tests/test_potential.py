@@ -182,6 +182,27 @@ def test_oracle_green_zero_symmetric_property(z, a, b, x, xp):
     assert g1 == g2  # min/max structure makes the swap exact
 
 
+@pytest.mark.parametrize("z", [1e4j, 1e6j, 1e6 * (0.3 + 1j)])
+def test_free_oracles_at_large_z(z):
+    # they raised OverflowError at 1e6i; f and g are now evaluated scaled
+    from bdm.bdmap import asymptotic_reference, bdmap_robin
+    from bdm.resolvent import green
+    from bdm.traces import AnglePair
+    R, V = math.pi, PotentialSpec.zero(math.pi)
+    lam = oracle_bdmap_zero(z, R, 1.0, 0.7)
+    assert np.all(np.isfinite(lam))
+    solved = bdmap_robin(V, R, AnglePair(1.0, 0.7), z).matrix
+    assert np.max(np.abs(lam - solved)) < 1e-10 * np.max(np.abs(lam))
+    ref = asymptotic_reference(AnglePair(1.0, 0.7), z, R)
+    for i in (0, 1):
+        assert abs(lam[i, i] / ref[i, i] - 1.0) < 3.0 * abs(z) ** -0.5
+    for x, xp in ((1.3, 1.3), (0.0, 1.0), (2.9, 3.1), (0.2, 3.0)):
+        g = oracle_green_zero(z, R, 0.35, 0.75, x, xp)
+        assert cmath.isfinite(g)
+        solved = green(V, R, AnglePair(0.35, 0.75), z, x, xp).value
+        assert abs(g - solved) <= 1e-12 * abs(g)
+
+
 def test_transfer_matrix_identity_at_equal_endpoints():
     V = PotentialSpec.piecewise_constant([1.0], [1.0, -2.0], 2.5)
     T = transfer_matrix_piecewise(V, 1.3 + 0.4j, 0.7, 0.7)

@@ -163,6 +163,17 @@ def test_rectangle_refines_cell_when_newton_escapes():
     assert 3.5 + 1j not in res.eigenvalues
 
 
+def test_deep_well_scan_finishes():
+    # V = -400 on [1, 2]: the scan reaches E ~ -6.4e5, where Delta is
+    # ~e^2500; on the scaled Delta it completes in well under a second (it
+    # took minutes before).  The values are still wrong (ROADMAP item 2), so
+    # only completion is pinned here.
+    V = PotentialSpec.piecewise_constant([1.0, 2.0], [0.0, -400.0, 0.0], math.pi)
+    res = eig_selfadjoint(V, math.pi, AnglePair(0.0, 0.0), 3)
+    assert len(res) == 3
+    assert all(math.isfinite(lam.real) for lam in res.eigenvalues)
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
 @pytest.mark.parametrize("search", [
     lambda tol: eig_selfadjoint(VBUMP, math.pi, AnglePair(0.7, 2.1), 3, tol),
