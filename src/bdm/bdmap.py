@@ -22,8 +22,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import AccuracyError, DomainError, EigenvalueHitError
 from .odecore import DEFAULT_TOL, FundamentalEval, delta_from_fs, solution
 from .potential import PotentialSpec, is_near_eigenvalue, sqrt_upper

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from . import __version__
+from ._lazy import np
 from .bdmap import bdmap_general, bdmap_robin, measure_point_mass
 from .errors import ConfigError, DomainError, NumericalError
 from .odecore import DEFAULT_TOL
@@ -176,6 +177,7 @@ def _over_z(cfg, args, fn, payload) -> list:
     if args.jobs <= 1 or len(zs) <= 1:
         return [task(z) for z in zs]
     from concurrent.futures import ProcessPoolExecutor
+    np.ndarray  # noqa: B018  loads numpy before the fork: the workers share it
     with ProcessPoolExecutor(max_workers=args.jobs) as pool:
         return list(pool.map(task, zs))
 

@@ -19,15 +19,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .bdmap import bdmap_general
 from .errors import DegenerateError, DomainError
 from .odecore import DEFAULT_TOL
 from .potential import PotentialSpec
 from .traces import AngleQuad, angles_mod_pi_zero, diag_cos, diag_sin
-
-J4 = np.block([[np.zeros((2, 2)), -np.eye(2)], [np.eye(2), np.zeros((2, 2))]]).astype(complex)
 
 COND_LIMIT = 1e8
 
@@ -73,6 +70,8 @@ def moebius_imag_factor(A: Block4, L: np.ndarray) -> np.ndarray:
 def in_class_A4(A: Block4, tol: float = 1e-12):
     """Whether A preserves the skew form J4; returns (bool, residual)."""
     F = A.full()
+    J4 = np.block([[np.zeros((2, 2)), -np.eye(2)],
+                   [np.eye(2), np.zeros((2, 2))]]).astype(complex)
     res = float(np.max(np.abs(F.conj().T @ J4 @ F - J4)))
     return res < tol, res
 

@@ -124,7 +124,8 @@ def _rk_segment(qfun, x0: float, y0: tuple, x1: float, tol: float) -> tuple:
     q0 = qfun(x)
     scale = max(1.0, abs(q0)) ** 0.5
     h = direction * min(abs(span), max(1e-8, 0.1 / scale))
-    hmin = 1e-14 * max(1.0, abs(span))
+    # a span below the minimum step is crossed in one step
+    hmin = min(1e-14 * max(1.0, abs(span)), abs(span))
     a21, = _A[1]
     a31, a32 = _A[2]
     a41, a42, a43 = _A[3]
@@ -256,6 +257,8 @@ def propagate(V: PotentialSpec, z: complex, data: CauchyData, to_x: float,
 def fundamental_system(V: PotentialSpec, z: complex, x: float,
                        tol: float = DEFAULT_TOL) -> FundamentalEval:
     """theta, phi and derivatives at x, both propagated in one sweep."""
+    if not 0.0 <= x <= V.R:
+        raise DomainError(f"x = {x} outside [0, {V.R}]")
     y, log_scale = _propagate_vec(
         V, z, 0.0, (1.0 + 0j, 0.0 + 0j, 0.0 + 0j, 1.0 + 0j), x, tol)
     return FundamentalEval(y, log_scale, z, x)
@@ -417,9 +420,9 @@ class BasisView:
                                                         (1, 0.0), (1, R))),
             z=self.sol.z))
 
-    @property
-    def w(self) -> complex:
-        return self._w * math.exp(-self._log)
+    def w_scaled(self) -> tuple:
+        """(W e^-g, g), W = W(u+, u-), as scaled() gives u- and u+."""
+        return self._w, -self._log
 
     def _kernel(self, lo: float, dlo: bool, hi: float, dhi: bool) -> complex:
         """u-(lo) u+(hi) / W, with u-' if dlo and u+' if dhi."""

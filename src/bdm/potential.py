@@ -25,8 +25,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import AccuracyError, DomainError, EigenvalueHitError
 
 

@@ -13,13 +13,13 @@ another's.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .bdmap import bdmap_general
 from .errors import DomainError
-from .odecore import DEFAULT_TOL, BasisView, solution
+from .odecore import DEFAULT_TOL, BasisView, CauchyData, solution
 from .potential import PotentialSpec
 from .traces import AnglePair, AngleQuad, trace_gamma
 
@@ -48,18 +48,27 @@ def green(V: PotentialSpec, R: float, pair: AnglePair, z: complex, x: float,
     return GreenEval(k(x, xp), z, x, xp)
 
 
-def _trace_coeffs(view: BasisView, primed: AnglePair):
+def _trace_coeffs(um0: CauchyData, upR: CauchyData, primed: AnglePair):
     """The two bracket coefficients shared by the trace-row kernels and the
     adjoint trace kernel:
 
         c0 = cos(theta0') u-(0) + sin(theta0') u-'(0)
         cR = cos(thetaR') u+(R) - sin(thetaR') u+'(R)
     """
-    um0 = view.endpoints.uminus_at_0
-    upR = view.endpoints.uplus_at_R
     c0 = cmath.cos(primed.theta0) * um0.u + cmath.sin(primed.theta0) * um0.du
     cR = cmath.cos(primed.thetaR) * upR.u - cmath.sin(primed.thetaR) * upR.du
     return c0, cR
+
+
+def _trace_ratios(view: BasisView, primed: AnglePair):
+    """(c0, cR, w) with c0/w = c0/W and cR/w = cR/W.  u-(0), u+(R) and W all
+    carry e^-log_scale, which underflows at large Im sqrt(z) R; the three
+    are formed from mantissas with their scales netted, so the ratios stay
+    finite."""
+    (um0, g0), (upR, gR) = view.scaled(-1, 0.0), view.scaled(1, view.sol.V.R)
+    w, gw = view.w_scaled()
+    c0, cR = _trace_coeffs(um0, upR, primed)
+    return c0 * math.exp(g0 - gw), cR * math.exp(gR - gw), w
 
 
 def gamma_resolvent_rows(V: PotentialSpec, R: float, pair: AnglePair,
@@ -71,8 +80,7 @@ def gamma_resolvent_rows(V: PotentialSpec, R: float, pair: AnglePair,
     like sin(theta0'-theta0), sin(thetaR'-thetaR) as primed -> base.
     """
     view = green_evaluator(V, R, pair, z, tol)
-    w = view.w
-    c0, cR = _trace_coeffs(view, primed)
+    c0, cR, w = _trace_ratios(view, primed)
 
     def k1(xp: float) -> complex:
         return c0 * view.uplus(xp).u / w
@@ -96,9 +104,9 @@ def gamma_row_coefficients(V: PotentialSpec, R: float, pair: AnglePair,
     right endpoint -u+(R)/sin(thetaR) and -u+'(R)/cos(thetaR).
     """
     view = green_evaluator(V, R, pair, z, tol)
-    c0, cR = _trace_coeffs(view, primed)
     um0 = view.endpoints.uminus_at_0
     upR = view.endpoints.uplus_at_R
+    c0, cR = _trace_coeffs(um0, upR, primed)
     forms0, formsR = [], []
     s0, c0a = cmath.sin(pair.theta0), cmath.cos(pair.theta0)
     sR, cRa = cmath.sin(pair.thetaR), cmath.cos(pair.thetaR)
@@ -120,8 +128,7 @@ def adjoint_trace_kernel(V: PotentialSpec, R: float, pair: AnglePair,
     = (c0 v1 u+(z,x) + cR v2 u-(z,x)) / W(z)."""
     v1, v2 = complex(v[0]), complex(v[1])
     view = green_evaluator(V, R, pair, z, tol)
-    w = view.w
-    c0, cR = _trace_coeffs(view, primed)
+    c0, cR, w = _trace_ratios(view, primed)
 
     def func(x: float) -> complex:
         return (c0 * v1 * view.uplus(x).u + cR * v2 * view.uminus(x).u) / w
@@ -135,8 +142,7 @@ def lambda_times_s(V: PotentialSpec, R: float, quad: AngleQuad, z: complex,
     Lambda^{theta'}_{theta}(z) S_{theta'-theta} column by column, entirely
     from basis endpoint data (the resolvent-representation route)."""
     view = green_evaluator(V, R, quad.base, z, tol)
-    w = view.w
-    c0, cR = _trace_coeffs(view, quad.primed)
+    c0, cR, w = _trace_ratios(view, quad.primed)
     be = view.endpoints
     up0, upR = be.uplus_at_0, be.uplus_at_R
     um0, umR = be.uminus_at_0, be.uminus_at_R

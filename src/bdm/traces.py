@@ -16,7 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from ._lazy import np
 
 TWO_PI = 2.0 * math.pi
 

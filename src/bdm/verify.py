@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .bdmap import (asymptotic_reference, bdmap_general, bdmap_robin,
                     herglotz_imag, m_functions_from_fs)
 from .errors import EigenvalueHitError, NumericalError

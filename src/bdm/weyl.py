@@ -19,8 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .bdmap import bdmap_robin, m_functions_from_fs
 from .errors import DegenerateError, DomainError, PoleHitError
 from .odecore import DEFAULT_TOL, _propagate_vec, solution

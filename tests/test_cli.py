@@ -250,6 +250,68 @@ def test_import_bdm_leaves_cli_out():
     assert proc.stdout.split() == ["False", "False"]
 
 
+# numpy itself sits in sys.modules as a lazy entry; its submodules show
+# whether it was really loaded
+NUMPY_LOADED = "print('numpy._core' in sys.modules or 'numpy.linalg' in sys.modules)"
+ROBIN_SAMPLE = str(Path(__file__).resolve().parents[1]
+                   / "scripts" / "configs" / "robin_sample.json")
+
+
+def test_import_bdm_loads_no_numpy():
+    proc = _python("-c", "import sys, bdm; " + NUMPY_LOADED)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["eig", "--n", "2"], False), (["green"], False), (["map"], True)],
+    ids=["eig", "green", "map"])
+def test_scalar_commands_load_no_numpy(argv, loaded, tmp_path):
+    argv = argv + ["--config", ROBIN_SAMPLE, "--out", str(tmp_path / "o.csv")]
+    proc = _python("-c", f"import sys; from bdm.cli import run; "
+                   f"print(run({argv!r})); " + NUMPY_LOADED)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", str(loaded)]
+
+
+def test_matrix_results_are_ndarrays():
+    proc = _python("-c", """
+import math, sys
+import bdm
+from bdm.resolvent import lambda_times_s
+R = math.pi
+V = bdm.PotentialSpec.piecewise_constant([1.0], [0.5, -0.3], R)
+p, q = bdm.AnglePair(0.35, 0.75), bdm.AnglePair(1.5, 2.4)
+out = [bdm.bdmap_robin(V, R, p, 2 + 1j).matrix,
+       bdm.wt_matrix(V, R, 2 + 1j, 1.3, p).matrix,
+       lambda_times_s(V, R, bdm.AngleQuad(p, q), 2 + 1j),
+       bdm.transfer_matrix_piecewise(V, 2 + 1j, 0.0, R),
+       bdm.oracle_bdmap_zero(2 + 1j, R, 0.35, 0.75)]
+import numpy
+print(all(type(m) is numpy.ndarray and m.shape == (2, 2) for m in out))
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]
+
+
+def test_import_bdm_without_numpy_fails_at_once():
+    proc = _python("-c", """
+import sys
+
+class HideNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+sys.meta_path.insert(0, HideNumpy())
+try:
+    import bdm
+except ModuleNotFoundError as exc:
+    print(exc.name)
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["numpy"]
+
 @pytest.mark.parametrize("module", ["bdm", "bdm.cli"])
 def test_module_entry_points_run_without_warnings(module):
     proc = _python("-W", "error", "-m", module, "--version")

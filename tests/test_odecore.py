@@ -336,7 +336,8 @@ def test_exact_maps_match_dp54(pieces, angles, log_r, arg):
     R = math.pi
     cuts, vals = pieces
     cuts = sorted(cuts)
-    # DP54 cannot step across a piece shorter than its minimum step (1e-14)
+    # pieces shorter than 1e-3 stay out of the draws; a one-ulp piece is
+    # covered by test_dp54_crosses_segment_below_minimum_step
     assume(all(b - a > 1e-3 for a, b in zip(cuts, cuts[1:])))
     V = PotentialSpec.piecewise_constant(cuts, vals, R)
     z = 10.0 ** log_r * cmath.exp(1j * arg)
@@ -462,3 +463,31 @@ def test_non_finite_z_rejected_before_any_propagation(call, z, monkeypatch):
     with pytest.raises(DomainError):
         call(PotentialSpec.zero(math.pi), z)
     assert calls == []
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -1.0, math.pi + 1.0],
+                         ids=["nan", "inf", "-1", "R+1"])
+@pytest.mark.parametrize("V", [
+    PotentialSpec.zero(math.pi),
+    PotentialSpec.piecewise_constant([1.1, 2.0], [0.8, -0.5, 0.4], math.pi),
+    PotentialSpec.sampled([0.0, 1.0, math.pi], [0.3, -1.0, 0.1], math.pi),
+], ids=["zero", "piecewise_constant", "sampled"])
+def test_fundamental_system_rejects_x_outside_interval(V, x, monkeypatch):
+    from bdm.errors import DomainError
+    calls = _record_propagations(monkeypatch)
+    with pytest.raises(DomainError):
+        fundamental_system(V, 2.0 + 1.0j, x)
+    assert calls == []
+
+
+def test_dp54_crosses_segment_below_minimum_step():
+    # two knots one ulp apart: the segment between them is shorter than
+    # DP54's minimum step and is crossed in one step
+    R = math.pi
+    close = PotentialSpec.sampled([0.0, 2.9415926535897925, 2.941592653589793, R],
+                                  [0.0, 1.0, 1.0, 0.0], R)
+    merged = PotentialSpec.sampled([0.0, 2.941592653589793, R], [0.0, 1.0, 0.0], R)
+    pair, z, tol = AnglePair(0.35, 0.75), 2.0 + 1.0j, 1e-10
+    got = bdmap_robin(close, R, pair, z, tol).matrix
+    expect = bdmap_robin(merged, R, pair, z, tol).matrix
+    assert np.max(np.abs(got - expect)) <= 100 * tol * np.max(np.abs(expect))

@@ -79,6 +79,37 @@ def test_krein_correction_large_imaginary_z_matches_free_oracles():
         assert abs(c - expect) <= 1e-8 * abs(expect)
 
 
+
+def test_krein_correction_where_the_scale_underflows():
+    # at z = 1e6i, e^-(Im sqrt(z) R) underflows: u-(0), u+(R) and W are
+    # formed as mantissas with their scales netted
+    base, primed = AnglePair(0.35, 0.75), AnglePair(1.5, 2.4)
+    z = 1e6j
+    # mid-interval the exact correction (~e^-1300) underflows
+    c = krein_correction(VFREE, R, base, primed, z, 1.3, 1.3)
+    g = green(VFREE, R, base, z, 1.3, 1.3).value
+    assert cmath.isfinite(c) and abs(c) <= 1e-12 * abs(g)
+    # near either endpoint the correction is about 1e-3 of G
+    for x, xp in ((0.001, 0.002), (3.14, 3.141)):
+        c = krein_correction(VFREE, R, base, primed, z, x, xp)
+        g = green(VFREE, R, base, z, x, xp).value
+        expect = (oracle_green_zero(z, R, base.theta0, base.thetaR, x, xp)
+                  - oracle_green_zero(z, R, primed.theta0, primed.thetaR, x, xp))
+        assert abs(c - expect) <= 1e-10 * abs(g)
+
+
+def test_trace_kernels_where_the_scale_underflows():
+    base, primed = AnglePair(0.35, 0.75), AnglePair(1.5, 2.4)
+    z = 1e6j
+    f = adjoint_trace_kernel(VFREE, R, base, primed, z, (1.0, 2.0))
+    assert all(cmath.isfinite(f(x)) for x in (0.001, 1.3, 3.14))
+    q = quad(base.theta0, base.thetaR, primed.theta0, primed.thetaR)
+    ls = lambda_times_s(VFREE, R, q, z)
+    assert np.all(np.isfinite(ls))
+    d0, dR = q.diffs
+    expect = bdmap_general(VFREE, R, q, z).matrix @ diag_sin(d0, dR)
+    assert np.max(np.abs(ls - expect)) <= 1e-10 * np.max(np.abs(expect))
+
 def test_gamma_rows_vanish_for_same_angles():
     k1, k2 = gamma_resolvent_rows(VCPLX, R, AnglePair(0.9, 0.4),
                                   AnglePair(0.9, 0.4), 0.7 + 1.3j)
