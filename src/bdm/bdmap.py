@@ -23,9 +23,10 @@ import math
 from dataclasses import dataclass
 
 from ._lazy import np
-from .errors import AccuracyError, DomainError, EigenvalueHitError
-from .odecore import DEFAULT_TOL, FundamentalEval, delta_from_fs, solution
-from .potential import PotentialSpec, is_near_eigenvalue, sqrt_upper
+from .errors import AccuracyError, DomainError
+from .odecore import (DEFAULT_TOL, FundamentalEval, _check_R, delta_from_fs,
+                      delta_off_spectrum, solution)
+from .potential import PotentialSpec, sqrt_upper
 from .traces import AnglePair, AngleQuad, angles_mod_pi_zero, diag_sin
 
 
@@ -36,23 +37,11 @@ class BoundaryDataMap:
     quad: AngleQuad
 
 
-def _check_spectrum(fs: FundamentalEval, delta: complex, R: float,
-                    pair: AnglePair, tol: float = 0.0) -> None:
-    z = fs.z
-    if is_near_eigenvalue(delta, z, R, pair.theta0, pair.thetaR,
-                          max(1e-12, 50.0 * tol), fs.log_scale):
-        raise EigenvalueHitError(
-            f"z = {z} is numerically an eigenvalue of H_({pair.theta0}, "
-            f"{pair.thetaR}); the boundary data map has a pole there",
-            z=z, operator=f"H_{{{pair.theta0},{pair.thetaR}}}")
-
-
 def lambda_from_fs(fs: FundamentalEval, R: float, quad: AngleQuad,
                    tol: float = 0.0) -> np.ndarray:
     t0, tR = quad.base.theta0, quad.base.thetaR
     t0p, tRp = quad.primed.theta0, quad.primed.thetaR
-    den = delta_from_fs(fs, t0, tR)
-    _check_spectrum(fs, den, R, quad.base, tol)
+    den = delta_off_spectrum(fs, R, t0, tR, tol)
     # the Delta ratios are scale-free; sin(...)/Delta carries e^-log_scale
     unit = math.exp(-fs.log_scale)
     return np.array(
@@ -65,6 +54,7 @@ def bdmap_general(V: PotentialSpec, R: float, quad: AngleQuad, z: complex,
                   tol: float = DEFAULT_TOL) -> BoundaryDataMap:
     """The map sending the (theta0,thetaR)-trace of a solution to its
     (theta0',thetaR')-trace, as a 2x2 matrix."""
+    _check_R(V, R)
     fs = solution(V, z, tol).fs
     return BoundaryDataMap(lambda_from_fs(fs, R, quad, tol), z, quad)
 
@@ -81,8 +71,7 @@ def m_functions_from_fs(fs: FundamentalEval, R: float, pair: AnglePair,
                         tol: float = 0.0):
     """(m+, m-) from one fundamental solve, in exact determinant-ratio form."""
     t0, tR = pair.theta0, pair.thetaR
-    den = delta_from_fs(fs, t0, tR)
-    _check_spectrum(fs, den, R, pair, tol)
+    den = delta_off_spectrum(fs, R, t0, tR, tol)
     mplus = delta_from_fs(fs, t0 + math.pi / 2.0, tR) / den
     mminus = -delta_from_fs(fs, t0, tR + math.pi / 2.0) / den
     return mplus, mminus
@@ -91,6 +80,7 @@ def m_functions_from_fs(fs: FundamentalEval, R: float, pair: AnglePair,
 def m_plus(V: PotentialSpec, R: float, theta0: complex, thetaR: complex,
            z: complex, tol: float = DEFAULT_TOL) -> complex:
     """m+ = (-sin(theta0) + cos(theta0) u+'(z,0)) / (cos(theta0) + sin(theta0) u+'(z,0))."""
+    _check_R(V, R)
     fs = solution(V, z, tol).fs
     return m_functions_from_fs(fs, R, AnglePair(theta0, thetaR), tol)[0]
 
@@ -98,6 +88,7 @@ def m_plus(V: PotentialSpec, R: float, theta0: complex, thetaR: complex,
 def m_minus(V: PotentialSpec, R: float, theta0: complex, thetaR: complex,
             z: complex, tol: float = DEFAULT_TOL) -> complex:
     """m- = (sin(thetaR) + cos(thetaR) u-'(z,R)) / (cos(thetaR) - sin(thetaR) u-'(z,R))."""
+    _check_R(V, R)
     fs = solution(V, z, tol).fs
     return m_functions_from_fs(fs, R, AnglePair(theta0, thetaR), tol)[1]
 

@@ -275,8 +275,7 @@ def cmd_wtm(cfg, args) -> int:
 
 
 def cmd_verify(cfg, args) -> int:
-    results = run_suite(cfg.V, cfg.R, cfg.pair, cfg.primed,
-                        cfg.tol)
+    results = run_suite(cfg.V, cfg.R, cfg.pair, tol=cfg.tol)
     print(format_table(results))
     if args.out and args.out != "-":
         write_csv(args.out, ["identity", "residual", "threshold", "passed"],

@@ -9,10 +9,12 @@ characteristic determinant
                              - sin(theta0) cos(thetaR) theta(z,R)
                              + sin(theta0) sin(thetaR) theta'(z,R)
 
-vanishes exactly on the spectrum of the Robin realization, and the
-distinguished basis u-, u+ (boundary condition at 0 resp. R, unit value at
-the opposite endpoint) has closed endpoint data in terms of Delta values:
-no second solve and no boundary-value iteration is needed.
+vanishes exactly on the spectrum of the Robin realization (tested by
+delta_off_spectrum alone).  The unit-start solutions ~u-, ~u+ (boundary
+condition at 0 resp. R) have W(~u+, ~u-) = Delta(theta0, thetaR) and the
+far-endpoint values Delta(theta0, 0) resp. Delta(0, thetaR): no second
+solve and no boundary-value iteration is needed, and only the normalized
+u-, u+ (unit value at the far endpoint) need z off the auxiliary spectra.
 
 How a sweep propagates depends only on the kind of V.  A zero or
 piecewise-constant V is propagated exactly: each knot-to-knot piece applies
@@ -27,7 +29,7 @@ e^|Im k d| out of every piece, so nothing overflows however large |z| is
 function) read the mantissas; absolute values and zero tests add log_scale.
 
 Everything at one (V, z, tol) derives from one Solution: the sweep, and per
-angle pair the u-, u+ endpoint data and interior tables.  solution() keeps
+angle pair the ~u-, ~u+ interior tables.  solution() keeps
 the last Solution only, so consecutive calls at the same (V, z, tol) share
 it and distinct problems never do.
 """
@@ -40,8 +42,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import (AccuracyError, DomainError, NearEigenvalueError,
-                     StiffnessError)
+from .errors import (AccuracyError, DomainError, EigenvalueHitError,
+                     NearEigenvalueError, StiffnessError)
 from .potential import (PotentialSpec, is_near_eigenvalue, make_eval,
                         trig_piece, unscale)
 
@@ -204,6 +206,12 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tol = {tol} must be positive and finite")
 
 
+def _check_R(V: PotentialSpec, R: float) -> None:
+    if R != V.R:
+        raise DomainError(f"R = {R} disagrees with the interval [0, {V.R}] "
+                          f"of the potential")
+
+
 def _check_z(z: complex) -> None:
     if not cmath.isfinite(z):
         raise DomainError(f"z = {z} must be finite")
@@ -271,6 +279,21 @@ def delta_from_fs(fs: FundamentalEval, theta0: complex, thetaR: complex) -> comp
     cR, sR = cmath.cos(thetaR), cmath.sin(thetaR)
     th, dth, ph, dph = fs.mantissas
     return c0 * cR * ph - c0 * sR * dph - s0 * cR * th + s0 * sR * dth
+
+
+def delta_off_spectrum(fs: FundamentalEval, R: float, theta0: complex,
+                       thetaR: complex, tol: float) -> complex:
+    """delta_from_fs, or EigenvalueHitError where z is numerically on the
+    spectrum of H_{theta0,thetaR}: the one spectrum test behind Lambda,
+    m+-, the Green's function and the trace-row kernels."""
+    delta = delta_from_fs(fs, theta0, thetaR)
+    if is_near_eigenvalue(delta, fs.z, R, theta0, thetaR,
+                          max(1e-12, 50.0 * tol), fs.log_scale):
+        raise EigenvalueHitError(
+            f"z = {fs.z} is numerically an eigenvalue of H_({theta0}, "
+            f"{thetaR}); Delta vanishes there",
+            z=fs.z, operator=f"H_{{{theta0},{thetaR}}}")
+    return delta
 
 
 def char_det(V: PotentialSpec, z: complex, theta0: complex, thetaR: complex,
@@ -342,48 +365,46 @@ class BasisView:
     """u-, u+ of the (theta0, thetaR) realization at one (V, z, tol), and
     the Green's function G(x, x') = u-(min) u+(max) / W built on them.
 
-    The tables hold u- and u+ from unit-size start data, (-sin theta0,
+    The tables hold the unit-start ~u-, ~u+, with data (-sin theta0,
     cos theta0) at 0 and (-sin thetaR, -cos thetaR) at R, as (mantissas,
     log scale).  A new x is propagated from the nearest tabulated point on
-    the side the solution grows from (rightward for u-, leftward for u+):
+    the side the solution grows from (rightward for ~u-, leftward for ~u+):
     for Im sqrt(z) > 0 the complementary mode then decays and the relative
-    step control holds.  Values are divided by Delta(theta0, 0) resp.
-    Delta(0, thetaR) only on output, which gives the normalization
-    u-(R) = u+(0) = 1; the Green's function nets the scales of u-, u+ and
-    W before applying them, so it stays finite at any |z|.
+    step control holds.  W(~u+, ~u-) = Delta(theta0, thetaR), so G =
+    ~u-(min) ~u+(max) / Delta, with the scales netted before they are
+    applied, needs z off the spectrum only.  Only uminus, uplus and
+    endpoints divide by Delta(theta0, 0) resp. Delta(0, thetaR), which gives
+    u-(R) = u+(0) = 1, and need z off the auxiliary spectra.
     """
 
     def __init__(self, sol: Solution, theta0: complex, thetaR: complex):
         fs, R = sol.fs, sol.V.R
         self.sol = sol
+        self.theta0, self.thetaR = theta0, thetaR
         self._log = fs.log_scale
-        d_minus = delta_from_fs(fs, theta0, 0.0)   # cos(theta0) phi(R) - sin(theta0) theta(R)
-        d_plus = delta_from_fs(fs, 0.0, thetaR)    # cos(thetaR) phi(R) - sin(thetaR) phi'(R)
-        for name, th0, thR, d in (("H_{theta0,0}", theta0, 0.0, d_minus),
-                                  ("H_{0,thetaR}", 0.0, thetaR, d_plus)):
-            if is_near_eigenvalue(d, sol.z, R, th0, thR,
-                                  max(1e-12, 50.0 * sol.tol), self._log):
-                raise NearEigenvalueError(
-                    f"z = {sol.z} is numerically an eigenvalue of the auxiliary "
-                    f"operator {name}; the u+/- normalization does not exist",
-                    z=sol.z, operator=name)
         c0, s0 = cmath.cos(theta0), cmath.sin(theta0)
         cR, sR = cmath.cos(thetaR), cmath.sin(thetaR)
         th, dth, _, dph = fs.mantissas
-        # sign -1: u-, sign +1: u+; the far endpoint comes from the sweep
-        self._delta = {-1: d_minus, 1: d_plus}
+        # sign -1: ~u-, sign +1: ~u+; the far endpoint comes from the sweep
         self._table = {
             -1: {0.0: ((-s0, c0), 0.0),
-                 R: ((d_minus, c0 * dph - s0 * dth), self._log)},
+                 R: ((delta_from_fs(fs, theta0, 0.0), c0 * dph - s0 * dth),
+                     self._log)},
             1: {R: ((-sR, -cR), 0.0),
-                0.0: ((d_plus, sR * dth - cR * th), self._log)}}
-        self.endpoints = BasisEndpoints(
-            uminus_at_0=self._data(-1, 0.0), uminus_at_R=self._data(-1, R),
-            uplus_at_0=self._data(1, 0.0), uplus_at_R=self._data(1, R), z=sol.z)
+                0.0: ((delta_from_fs(fs, 0.0, thetaR), sR * dth - cR * th),
+                      self._log)}}
+
+    @functools.cached_property
+    def delta(self) -> complex:
+        """The mantissa of Delta(theta0, thetaR) = W(~u+, ~u-) e^-log_scale,
+        or EigenvalueHitError on the spectrum."""
+        sol = self.sol
+        return delta_off_spectrum(sol.fs, sol.V.R, self.theta0, self.thetaR,
+                                  sol.tol)
 
     def scaled(self, sign: int, x: float) -> tuple:
-        """(u(x) e^-g, g) for u- (sign -1) or u+ (sign +1): the data as
-        CauchyData of mantissas, and their log scale g."""
+        """(~u(x) e^-g, g) for ~u- (sign -1) or ~u+ (sign +1): the
+        unit-start data as CauchyData of mantissas, and their log scale g."""
         table = self._table[sign]
         hit = table.get(x)
         if hit is None:
@@ -396,13 +417,32 @@ class BasisView:
             y, step = _propagate_vec(sol.V, sol.z, start, y, x, sol.tol)
             hit = table[x] = (y, log_scale + step)
         (u, du), log_scale = hit
-        d = self._delta[sign]
-        return CauchyData(u / d, du / d, x), log_scale - self._log
+        return CauchyData(u, du, x), log_scale
+
+    def over_delta(self, sign: int, x: float) -> CauchyData:
+        """~u(x) / Delta(theta0, thetaR) for ~u- (sign -1) or ~u+ (+1)."""
+        return self._divided(sign, x, self.delta)
+
+    def _divided(self, sign: int, x: float, d: complex) -> CauchyData:
+        """~u(x) / (d e^log_scale), with the scales netted first."""
+        m, g = self.scaled(sign, x)
+        scale = math.exp(g - self._log)
+        return CauchyData(m.u / d * scale, m.du / d * scale, x)
 
     def _data(self, sign: int, x: float) -> CauchyData:
-        m, g = self.scaled(sign, x)
-        scale = math.exp(g)
-        return CauchyData(m.u * scale, m.du * scale, x)
+        """u- (sign -1) or u+ (sign +1) at x: ~u divided by Delta(theta0, 0)
+        resp. Delta(0, thetaR)."""
+        sol = self.sol
+        th0, thR, name = ((self.theta0, 0.0, "H_{theta0,0}") if sign < 0
+                          else (0.0, self.thetaR, "H_{0,thetaR}"))
+        try:
+            d = delta_off_spectrum(sol.fs, sol.V.R, th0, thR, sol.tol)
+        except EigenvalueHitError as err:
+            raise NearEigenvalueError(
+                f"z = {sol.z} is numerically an eigenvalue of the auxiliary "
+                f"operator {name}; the u+/- normalization does not exist",
+                z=sol.z, operator=name) from err
+        return self._divided(sign, x, d)
 
     def uminus(self, x: float) -> CauchyData:
         return self._data(-1, x)
@@ -411,24 +451,19 @@ class BasisView:
         return self._data(1, x)
 
     @functools.cached_property
-    def _w(self) -> complex:
-        """W(u+, u-) e^log_scale: each Wronskian term pairs an endpoint value
-        that carries e^-log_scale (u-(0), u+(R)) with one that carries 1."""
+    def endpoints(self) -> BasisEndpoints:
         R = self.sol.V.R
-        return wronskian(BasisEndpoints(
-            *(self.scaled(sign, x)[0] for sign, x in ((-1, 0.0), (-1, R),
-                                                        (1, 0.0), (1, R))),
-            z=self.sol.z))
-
-    def w_scaled(self) -> tuple:
-        """(W e^-g, g), W = W(u+, u-), as scaled() gives u- and u+."""
-        return self._w, -self._log
+        return BasisEndpoints(
+            uminus_at_0=self._data(-1, 0.0), uminus_at_R=self._data(-1, R),
+            uplus_at_0=self._data(1, 0.0), uplus_at_R=self._data(1, R),
+            z=self.sol.z)
 
     def _kernel(self, lo: float, dlo: bool, hi: float, dhi: bool) -> complex:
-        """u-(lo) u+(hi) / W, with u-' if dlo and u+' if dhi."""
+        """~u-(lo) ~u+(hi) / Delta, with ~u-' if dlo and ~u+' if dhi."""
+        d = self.delta
         (um, gm), (up, gp) = self.scaled(-1, lo), self.scaled(1, hi)
-        return ((um.du if dlo else um.u) * (up.du if dhi else up.u) / self._w
-                * math.exp(gm + gp + self._log))
+        return ((um.du if dlo else um.u) * (up.du if dhi else up.u) / d
+                * math.exp(gm + gp - self._log))
 
     def __call__(self, x: float, xp: float) -> complex:
         lo, hi = (x, xp) if x <= xp else (xp, x)

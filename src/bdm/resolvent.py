@@ -2,24 +2,24 @@
 rank-<=2 resolvent corrections between different Robin realizations.
 
 The resolvent kernel is G(z,x,x') = u-(z,min) u+(z,max) / W(z) with W the
-Wronskian of the distinguished basis.  Applying a primed trace to the
-resolvent produces integral kernels proportional to u+ and u-, and the
-adjoint of the conjugated trace applied to the adjoint resolvent is a
-two-dimensional family spanned by u+ and u- as well; together they build
-the correction kernel that turns one realization's Green's function into
-another's.
+Wronskian of the distinguished basis; from the unit-start solutions it is
+~u-(min) ~u+(max) / Delta(z), defined for z off the spectrum only.
+Applying a primed trace to the resolvent produces integral kernels
+proportional to u+ and u-, and the adjoint of the conjugated trace applied
+to the adjoint resolvent is a two-dimensional family spanned by u+ and u-
+as well; together they build the correction kernel that turns one
+realization's Green's function into another's.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 from ._lazy import np
 from .bdmap import bdmap_general
 from .errors import DomainError
-from .odecore import DEFAULT_TOL, BasisView, CauchyData, solution
+from .odecore import DEFAULT_TOL, BasisView, _check_R, solution
 from .potential import PotentialSpec
 from .traces import AnglePair, AngleQuad, trace_gamma
 
@@ -35,6 +35,7 @@ class GreenEval:
 def green_evaluator(V: PotentialSpec, R: float, pair: AnglePair, z: complex,
                     tol: float = DEFAULT_TOL) -> BasisView:
     """Pointwise Green's function of one Robin realization at fixed z."""
+    _check_R(V, R)
     return solution(V, z, tol).basis(pair.theta0, pair.thetaR)
 
 
@@ -48,45 +49,24 @@ def green(V: PotentialSpec, R: float, pair: AnglePair, z: complex, x: float,
     return GreenEval(k(x, xp), z, x, xp)
 
 
-def _trace_coeffs(um0: CauchyData, upR: CauchyData, primed: AnglePair):
-    """The two bracket coefficients shared by the trace-row kernels and the
-    adjoint trace kernel:
-
-        c0 = cos(theta0') u-(0) + sin(theta0') u-'(0)
-        cR = cos(thetaR') u+(R) - sin(thetaR') u+'(R)
-    """
-    c0 = cmath.cos(primed.theta0) * um0.u + cmath.sin(primed.theta0) * um0.du
-    cR = cmath.cos(primed.thetaR) * upR.u - cmath.sin(primed.thetaR) * upR.du
-    return c0, cR
-
-
-def _trace_ratios(view: BasisView, primed: AnglePair):
-    """(c0, cR, w) with c0/w = c0/W and cR/w = cR/W.  u-(0), u+(R) and W all
-    carry e^-log_scale, which underflows at large Im sqrt(z) R; the three
-    are formed from mantissas with their scales netted, so the ratios stay
-    finite."""
-    (um0, g0), (upR, gR) = view.scaled(-1, 0.0), view.scaled(1, view.sol.V.R)
-    w, gw = view.w_scaled()
-    c0, cR = _trace_coeffs(um0, upR, primed)
-    return c0 * math.exp(g0 - gw), cR * math.exp(gR - gw), w
-
-
 def gamma_resolvent_rows(V: PotentialSpec, R: float, pair: AnglePair,
                          primed: AnglePair, z: complex,
                          tol: float = DEFAULT_TOL):
     """Kernels (k1, k2) with (gamma_{primed} (H - z)^-1 f)_j = int k_j f.
 
-    k1 is proportional to u+, k2 to u-; the proportionality factors vanish
-    like sin(theta0'-theta0), sin(thetaR'-thetaR) as primed -> base.
+    k1 = sin(theta0'-theta0) ~u+/Delta and k2 = sin(thetaR'-thetaR)
+    ~u-/Delta, with ~u+- the unit-start solutions of BasisView and Delta =
+    Delta(theta0, thetaR); they vanish as primed -> base.
     """
     view = green_evaluator(V, R, pair, z, tol)
-    c0, cR, w = _trace_ratios(view, primed)
+    s0, sR = (cmath.sin(d) for d in AngleQuad(pair, primed).diffs)
+    view.delta  # the spectrum test, before any row value is asked for
 
     def k1(xp: float) -> complex:
-        return c0 * view.uplus(xp).u / w
+        return s0 * view.over_delta(1, xp).u
 
     def k2(xp: float) -> complex:
-        return cR * view.uminus(xp).u / w
+        return sR * view.over_delta(-1, xp).u
 
     return k1, k2
 
@@ -106,7 +86,9 @@ def gamma_row_coefficients(V: PotentialSpec, R: float, pair: AnglePair,
     view = green_evaluator(V, R, pair, z, tol)
     um0 = view.endpoints.uminus_at_0
     upR = view.endpoints.uplus_at_R
-    c0, cR = _trace_coeffs(um0, upR, primed)
+    # c0 = cos(theta0') u-(0) + sin(theta0') u-'(0),
+    # cR = cos(thetaR') u+(R) - sin(thetaR') u+'(R)
+    c0, cR = trace_gamma(primed, (um0.u, um0.du, upR.u, upR.du))
     forms0, formsR = [], []
     s0, c0a = cmath.sin(pair.theta0), cmath.cos(pair.theta0)
     sR, cRa = cmath.sin(pair.thetaR), cmath.cos(pair.thetaR)
@@ -125,13 +107,12 @@ def adjoint_trace_kernel(V: PotentialSpec, R: float, pair: AnglePair,
                          primed: AnglePair, z: complex, v,
                          tol: float = DEFAULT_TOL):
     """The function x -> ([conjugated-trace of adjoint resolvent]^* v)(x)
-    = (c0 v1 u+(z,x) + cR v2 u-(z,x)) / W(z)."""
+    = v1 k1(x) + v2 k2(x), with (k1, k2) the trace-row kernels."""
     v1, v2 = complex(v[0]), complex(v[1])
-    view = green_evaluator(V, R, pair, z, tol)
-    c0, cR, w = _trace_ratios(view, primed)
+    k1, k2 = gamma_resolvent_rows(V, R, pair, primed, z, tol)
 
     def func(x: float) -> complex:
-        return (c0 * v1 * view.uplus(x).u + cR * v2 * view.uminus(x).u) / w
+        return v1 * k1(x) + v2 * k2(x)
 
     return func
 
@@ -140,17 +121,16 @@ def lambda_times_s(V: PotentialSpec, R: float, quad: AngleQuad, z: complex,
                    tol: float = DEFAULT_TOL) -> np.ndarray:
     """gamma_{primed} applied to the adjoint-trace columns: assembles
     Lambda^{theta'}_{theta}(z) S_{theta'-theta} column by column, entirely
-    from basis endpoint data (the resolvent-representation route)."""
+    from basis endpoint data (the resolvent-representation route): the
+    columns are sin(theta0'-theta0) gamma_{primed}(~u+/Delta) and
+    sin(thetaR'-thetaR) gamma_{primed}(~u-/Delta)."""
     view = green_evaluator(V, R, quad.base, z, tol)
-    c0, cR, w = _trace_ratios(view, quad.primed)
-    be = view.endpoints
-    up0, upR = be.uplus_at_0, be.uplus_at_R
-    um0, umR = be.uminus_at_0, be.uminus_at_R
-    gp_up = trace_gamma(quad.primed, (up0.u, up0.du, upR.u, upR.du))
-    gp_um = trace_gamma(quad.primed, (um0.u, um0.du, umR.u, umR.du))
+    d0, dR = quad.diffs
     out = np.empty((2, 2), dtype=complex)
-    out[:, 0] = (c0 * gp_up[0] / w, c0 * gp_up[1] / w)
-    out[:, 1] = (cR * gp_um[0] / w, cR * gp_um[1] / w)
+    for j, (sign, d) in enumerate(((1, d0), (-1, dR))):
+        a, b = view.over_delta(sign, 0.0), view.over_delta(sign, R)
+        g0, gR = trace_gamma(quad.primed, (a.u, a.du, b.u, b.du))
+        out[:, j] = (cmath.sin(d) * g0, cmath.sin(d) * gR)
     return out
 
 

@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import ContourError, DomainError, SearchFailureError
-from .odecore import DEFAULT_TOL, _check_tol, delta_from_fs, solution
+from .odecore import (DEFAULT_TOL, _check_R, _check_tol, delta_from_fs,
+                      solution)
 from .potential import PotentialSpec, is_near_eigenvalue, unscale
 from .traces import AnglePair, angles_mod_pi_zero
 
@@ -63,7 +64,7 @@ def _residual(f, lam: complex) -> float:
     return abs(unscale(*f(lam), lam))
 
 
-def _newton_polish(f, z0: complex, R: float, tol: float, real_line: bool):
+def _newton_polish(f, z0: complex, real_line: bool):
     """Newton with central-difference derivative; falls back to the last
     iterate when the step stagnates."""
     z = z0
@@ -111,6 +112,7 @@ def eig_selfadjoint(V: PotentialSpec, R: float, pair: AnglePair, n_max: int,
         raise DomainError("eig_selfadjoint needs real boundary angles")
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
+    _check_R(V, R)
     _check_tol(tol)
     f = _delta_fn(V, pair, tol)
     # scanning and bracketing only need signs; run them loose, polish tight
@@ -146,7 +148,7 @@ def eig_selfadjoint(V: PotentialSpec, R: float, pair: AnglePair, n_max: int,
     for i in range(len(pts) - 1):
         a, b, fa, fb = pts[i], pts[i + 1], vals[i], vals[i + 1]
         if fa == 0.0:
-            roots.append(_newton_polish(f, complex(a), R, tol, True).real)
+            roots.append(_newton_polish(f, complex(a), True).real)
             continue
         if fa * fb < 0.0:
             for _ in range(10):
@@ -159,10 +161,10 @@ def eig_selfadjoint(V: PotentialSpec, R: float, pair: AnglePair, n_max: int,
                     b, fb = m, fm
                 else:
                     a, fa = m, fm
-            lam = _newton_polish(f, complex(0.5 * (a + b)), R, tol, True).real
+            lam = _newton_polish(f, complex(0.5 * (a + b)), True).real
             roots.append(lam)
     if vals[-1] == 0.0:
-        roots.append(_newton_polish(f, complex(pts[-1]), R, tol, True).real)
+        roots.append(_newton_polish(f, complex(pts[-1]), True).real)
 
     # dedupe near-coincident refinements; keep those with a small residual
     cleaned = [lam for lam, _ in _merge_close((lam, 1) for lam in roots)
@@ -265,6 +267,7 @@ def _count_box(f, box, R: float, pair: AnglePair,
 def count_zeros_rectangle(V: PotentialSpec, R: float, pair: AnglePair, rect,
                           tol: float = DEFAULT_TOL) -> int:
     """Argument-principle zero count in rect = (re0, re1, im0, im1)."""
+    _check_R(V, R)
     _check_tol(tol)
     scan = max(tol, 1e-6)
     return _count_box(_delta_fn(V, pair, scan), tuple(rect), R, pair, scan)
@@ -276,6 +279,7 @@ def eig_rectangle(V: PotentialSpec, R: float, pair: AnglePair, rect,
     re0, re1, im0, im1 = (float(v) for v in rect)
     if not (re0 < re1 and im0 < im1):
         raise DomainError("rectangle must have positive extent")
+    _check_R(V, R)
     _check_tol(tol)
     f = _delta_fn(V, pair, tol)
     scan_tol = max(tol, 1e-6)
@@ -291,7 +295,7 @@ def eig_rectangle(V: PotentialSpec, R: float, pair: AnglePair, rect,
         small = max(a1 - a0, b1 - b0) < min_size
         if n == 1 or small:
             center = complex(0.5 * (a0 + a1), 0.5 * (b0 + b1))
-            lam = _newton_polish(f, center, R, tol, False)
+            lam = _newton_polish(f, center, False)
             inside = (a0 - min_size <= lam.real <= a1 + min_size
                       and b0 - min_size <= lam.imag <= b1 + min_size)
             if inside or small:

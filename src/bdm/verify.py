@@ -238,7 +238,7 @@ def check_asymptotics(V, R, pair, tol) -> IdentityResult:
 
 
 def run_suite(V: PotentialSpec, R: float, pair: AnglePair,
-              primed: AnglePair | None = None, tol: float = DEFAULT_TOL,
+              tol: float = DEFAULT_TOL,
               seed: int = 2024) -> list[IdentityResult]:
     """Run every identity family; deterministic for a fixed seed."""
     rng = np.random.default_rng(seed)

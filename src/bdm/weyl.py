@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from ._lazy import np
 from .bdmap import bdmap_robin, m_functions_from_fs
 from .errors import DegenerateError, DomainError, PoleHitError
-from .odecore import DEFAULT_TOL, _propagate_vec, solution
+from .odecore import DEFAULT_TOL, _check_R, _propagate_vec, solution
 from .potential import PotentialSpec
 from .resolvent import green_evaluator
 from .traces import AnglePair
@@ -40,6 +40,7 @@ def wt_m(V: PotentialSpec, R: float, z: complex, x0: float, xi: complex,
          y0: float, eta: complex, tol: float = DEFAULT_TOL) -> complex:
     """m(z; x0, alpha(xi); y0, beta(eta)) for the fundamental matrix
     normalized at x0 by the xi-rotation."""
+    _check_R(V, R)
     if not (0.0 <= x0 <= R and 0.0 <= y0 <= R):
         raise DomainError("reference points must lie in [0, R]")
     cxi, sxi = cmath.cos(xi), cmath.sin(xi)
@@ -159,8 +160,8 @@ def green_link_check(V: PotentialSpec, R: float, pair: AnglePair, z: complex,
     Returns a dict name -> residual; identities whose angle hypotheses fail
     (sin or cos of an angle vanishing) are skipped.
     """
-    mp, mm = m_functions_from_fs(solution(V, z, tol).fs, R, pair)
     lam = bdmap_robin(V, R, pair, z, tol).matrix
+    mp, mm = m_functions_from_fs(solution(V, z, tol).fs, R, pair)
     gk = green_evaluator(V, R, pair, z, tol)
     be = gk.endpoints
     g00 = gk(0.0, 0.0)

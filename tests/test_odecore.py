@@ -10,16 +10,17 @@ from hypothesis import strategies as st
 
 from bdm import odecore
 from bdm.bdmap import (asymptotic_reference, bdmap_general, bdmap_robin,
-                       lambda_from_fs)
+                       lambda_from_fs, m_minus, m_plus)
 from bdm.errors import AccuracyError, NearEigenvalueError
 from bdm.odecore import (CauchyData, basis_endpoints, char_det, delta_from_fs,
                          fundamental_system, propagate, wronskian)
 from bdm.potential import (PotentialSpec, is_near_eigenvalue, make_eval,
                            oracle_bdmap_zero, sqrt_upper,
                            transfer_matrix_piecewise)
-from bdm.resolvent import green, krein_correction
+from bdm.resolvent import green, green_evaluator, krein_correction
+from bdm.spectrum import count_zeros_rectangle, eig_rectangle, eig_selfadjoint
 from bdm.traces import AnglePair, quad
-from bdm.weyl import wt_matrix
+from bdm.weyl import wt_m, wt_matrix
 
 SINH_PI = 11.548739357257748
 
@@ -491,3 +492,28 @@ def test_dp54_crosses_segment_below_minimum_step():
     got = bdmap_robin(close, R, pair, z, tol).matrix
     expect = bdmap_robin(merged, R, pair, z, tol).matrix
     assert np.max(np.abs(got - expect)) <= 100 * tol * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("call", [
+    lambda V, R: bdmap_general(V, R, quad(1.0, 0.7, 2.0, 0.2), 2.0 + 1.0j),
+    lambda V, R: m_plus(V, R, 1.0, 0.7, 2.0 + 1.0j),
+    lambda V, R: m_minus(V, R, 1.0, 0.7, 2.0 + 1.0j),
+    lambda V, R: green_evaluator(V, R, AnglePair(1.0, 0.7), 2.0 + 1.0j),
+    lambda V, R: wt_m(V, R, 2.0 + 1.0j, 0.0, 0.0, 1.5, 0.0),
+    lambda V, R: eig_selfadjoint(V, R, AnglePair(0.0, 0.0), 3),
+    lambda V, R: count_zeros_rectangle(V, R, AnglePair(0.0, 0.0),
+                                       (0.5, 5.0, -1.0, 1.0)),
+    lambda V, R: eig_rectangle(V, R, AnglePair(0.0, 0.0),
+                               (0.5, 5.0, -1.0, 1.0)),
+], ids=["bdmap_general", "m_plus", "m_minus", "green_evaluator", "wt_m",
+        "eig_selfadjoint", "count_zeros_rectangle", "eig_rectangle"])
+@pytest.mark.parametrize("R", [2.0, 4.0])
+def test_R_other_than_the_potentials_rejected_before_any_propagation(
+        call, R, monkeypatch):
+    from bdm import weyl
+    from bdm.errors import DomainError
+    calls = _record_propagations(monkeypatch)
+    monkeypatch.setattr(weyl, "_propagate_vec", odecore._propagate_vec)
+    with pytest.raises(DomainError):
+        call(PotentialSpec.zero(math.pi), R)
+    assert calls == []

@@ -3,17 +3,23 @@ corrections."""
 
 import cmath
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
 from bdm.bdmap import bdmap_general
+from bdm.errors import EigenvalueHitError, NearEigenvalueError
+from bdm.odecore import basis_endpoints
 from bdm.potential import PotentialSpec, oracle_green_zero
 from bdm.resolvent import (adjoint_trace_kernel, gamma_resolvent_rows,
                            gamma_row_coefficients, green, green_evaluator,
                            krein_correction, krein_kernel, lambda_times_s)
-from bdm.traces import AnglePair, diag_sin, quad, trace_gamma
+from bdm.spectrum import eig_selfadjoint
+from bdm.traces import AnglePair, AngleQuad, diag_sin, quad, trace_gamma
+from bdm.weyl import wt_matrix
 
 R = math.pi
 VFREE = PotentialSpec.zero(R)
@@ -254,3 +260,91 @@ def test_krein_degenerate_same_angles():
     p = AnglePair(0.5, 2.0)
     assert krein_kernel(VREAL, R, p, p, 1j) is None
     assert krein_correction(VREAL, R, p, p, 1j, 0.5, 1.0) == 0.0
+
+
+# z on the spectrum of the pair itself: Neumann-Neumann at z = 0, and the
+# second eigenvalue (about -1.40243) of (0.3, 0.7) on the free interval
+ON_SPECTRUM = {
+    "neumann-z0": lambda: (AnglePair(math.pi / 2, math.pi / 2),
+                           AnglePair(0.3, 0.2), 0.0),
+    "robin-second": lambda: (
+        AnglePair(0.3, 0.7), AnglePair(1.0, 0.2),
+        eig_selfadjoint(VFREE, R, AnglePair(0.3, 0.7), 2).eigenvalues[1].real),
+}
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, pr, z: green(VFREE, R, p, z, 1.0, 2.0),
+    lambda p, pr, z: krein_correction(VFREE, R, p, pr, z, 1.0, 2.0),
+    lambda p, pr, z: gamma_resolvent_rows(VFREE, R, p, pr, z),
+    lambda p, pr, z: adjoint_trace_kernel(VFREE, R, p, pr, z, (1.0, 2.0)),
+    lambda p, pr, z: lambda_times_s(VFREE, R, AngleQuad(p, pr), z),
+], ids=["green", "krein_correction", "gamma_resolvent_rows",
+        "adjoint_trace_kernel", "lambda_times_s"])
+@pytest.mark.parametrize("case", sorted(ON_SPECTRUM))
+def test_on_spectrum_is_eigenvalue_hit(case, call):
+    pair, primed, z = ON_SPECTRUM[case]()
+    with pytest.raises(EigenvalueHitError) as err:
+        call(pair, primed, z)
+    # the pair's own spectrum, not an auxiliary normalization
+    assert type(err.value) is EigenvalueHitError
+    assert err.value.operator == f"H_{{{pair.theta0},{pair.thetaR}}}"
+
+
+def test_auxiliary_eigenvalue_free_matches_closed_forms():
+    # mu (about 1.22064) is an eigenvalue of H_{0.3,0} only: G, the Krein
+    # correction and M_alpha exist there, the u-/u+ normalization does not
+    pair, primed = AnglePair(0.3, 0.7), AnglePair(1.5, 2.4)
+    mu = eig_selfadjoint(VFREE, R, AnglePair(0.3, 0.0), 2).eigenvalues[1].real
+
+    def g(p, x, xp):
+        return oracle_green_zero(mu, R, p.theta0, p.thetaR, x, xp)
+
+    for x, xp in ((1.0, 2.0), (1.3, 1.3), (0.5, 2.7)):
+        assert green(VFREE, R, pair, mu, x, xp).value == pytest.approx(
+            g(pair, x, xp), rel=1e-12)
+        assert krein_correction(VFREE, R, pair, primed, mu, x, xp) == (
+            pytest.approx(g(pair, x, xp) - g(primed, x, xp), rel=1e-12))
+    for x0 in (1.3, 2.2):
+        # the (1,1) entry of M_0(z, x0) is G(z, x0, x0)
+        m = wt_matrix(VFREE, R, mu, x0, pair).matrix
+        assert m[0, 0] == pytest.approx(g(pair, x0, x0), rel=1e-12)
+    with pytest.raises(NearEigenvalueError):
+        basis_endpoints(VFREE, mu, pair.theta0, pair.thetaR)
+
+
+def _oracles():
+    """perfbench/oracles.py: mpmath trig/Airy references that import no bdm."""
+    pytest.importorskip("mpmath")
+    pytest.importorskip("scipy")
+    path = str(Path(__file__).resolve().parents[1] / "perfbench")
+    if path not in sys.path:
+        sys.path.insert(0, path)
+    import oracles
+    return oracles
+
+
+def test_auxiliary_eigenvalue_sampled_matches_airy_oracle():
+    oracles = _oracles()
+    pair, primed = AnglePair(0.3, 0.7), AnglePair(1.5, 2.4)
+    mu = eig_selfadjoint(VREAL, R, AnglePair(0.3, 0.0), 2).eigenvalues[1].real
+    pieces = oracles.pieces_of("sampled", R, values=VREAL.values,
+                               grid=VREAL.grid)
+    xs = [0.5, 1.3, 2.7]
+    ref = oracles.Interior(pieces, R, mu, pair.theta0, pair.thetaR, xs)
+    ref_primed = oracles.Interior(pieces, R, mu, primed.theta0,
+                                  primed.thetaR, xs)
+    for x in xs:
+        for xp in xs:
+            expect = ref.green(x, xp)
+            assert abs(green(VREAL, R, pair, mu, x, xp).value - expect) <= (
+                1e-8 * abs(expect))
+            expect = expect - ref_primed.green(x, xp)
+            got = krein_correction(VREAL, R, pair, primed, mu, x, xp)
+            assert abs(got - expect) <= 1e-8 * abs(expect)
+    for x0 in xs:
+        expect = oracles.wt_matrix_ref(*ref.log_derivs(x0), 0.4)
+        got = wt_matrix(VREAL, R, mu, x0, pair, 0.4).matrix
+        assert np.max(np.abs(got - expect)) <= 1e-8 * np.max(np.abs(expect))
+    with pytest.raises(NearEigenvalueError):
+        basis_endpoints(VREAL, mu, pair.theta0, pair.thetaR)
