@@ -5,27 +5,27 @@ positive factor e^-log_scale away from Delta, so it has the same zeros, the
 same phase and, on the real axis, the same sign, and it stays finite where
 Delta itself would overflow.
 
-Self-adjoint case: Delta is real-analytic on the real axis with simple
-zeros (separated boundary conditions), so sign-change bracketing on a grid
-seeded by the free-problem guesses ((n + sigma) pi / R)^2 plus
-bisection/Newton polish finds the spectrum.  Non-self-adjoint case: the
-argument principle counts zeros inside a rectangle (adaptive phase tracking
-of Delta along the contour integrates Delta'/Delta exactly per segment),
-rectangles are quadrisected until each holds at most one zero, and Newton
-with a finite-difference derivative polishes each root.
+Self-adjoint case: the Prufer angle theta(R; E) of ~u- counts the N(E)
+eigenvalues below E (Sturm oscillation), so eigenvalue k is bracketed by
+its index, N = k and k + 1 at the ends, and found on the sign of Delta.
+Non-self-adjoint case: the argument principle counts zeros inside a
+rectangle (adaptive phase tracking of Delta along the contour), rectangles
+are quadrisected until each holds at most one zero, and Newton with a
+finite-difference derivative polishes each root.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
 
 from .errors import ContourError, DomainError, SearchFailureError
-from .odecore import (DEFAULT_TOL, _check_R, _check_tol, delta_from_fs,
-                      solution)
-from .potential import PotentialSpec, is_near_eigenvalue, unscale
-from .traces import AnglePair, angles_mod_pi_zero
+from .odecore import (DEFAULT_TOL, _check_R, _check_tol, _propagate_vec,
+                      delta_from_fs, solution)
+from .potential import PotentialSpec, is_near_eigenvalue, make_eval, unscale
+from .traces import AnglePair
 
 
 @dataclass(frozen=True)
@@ -54,20 +54,9 @@ def _delta_fn(V: PotentialSpec, pair: AnglePair, tol: float):
     return f
 
 
-def _is_root(f, z: complex, R: float, pair: AnglePair, floor: float) -> bool:
-    delta, log_scale = f(z)
-    return is_near_eigenvalue(delta, z, R, pair.theta0, pair.thetaR, floor,
-                              log_scale)
-
-
-def _residual(f, lam: complex) -> float:
-    return abs(unscale(*f(lam), lam))
-
-
-def _newton_polish(f, z0: complex, real_line: bool):
+def _newton_polish(f, z: complex):
     """Newton with central-difference derivative; falls back to the last
     iterate when the step stagnates."""
-    z = z0
     for _ in range(60):
         h = 1e-6 * max(1.0, abs(z))
         df = (f(z + h)[0] - f(z - h)[0]) / (2.0 * h)
@@ -75,8 +64,6 @@ def _newton_polish(f, z0: complex, real_line: bool):
             break
         step = f(z)[0] / df
         z = z - step
-        if real_line:
-            z = complex(z.real, 0.0)
         if abs(step) <= 1e-14 * max(1.0, abs(z)):
             break
     return z
@@ -94,111 +81,122 @@ def _merge_close(found):
     return merged
 
 
-def _guess_offset(pair: AnglePair) -> float:
-    z0 = angles_mod_pi_zero(pair.theta0)
-    zR = angles_mod_pi_zero(pair.thetaR)
-    if z0 != zR:
-        return 0.5
-    return 0.0
+def _prufer_angle(V: PotentialSpec, E: float, theta0: float,
+                  tol: float) -> float:
+    """theta(R; E) = atan2(u, u') of the unit-start ~u-, from theta(0) =
+    -theta0 mod pi.  Each knot piece is cut so that k cut <= pi/2 with
+    k^2 = max(E - min V, 1): atan2(k u, u') then moves by at most pi/2 per
+    cut and theta never falls back past a multiple of pi, so the principal
+    difference of consecutive atan2 values is the true increment."""
+    th = -theta0 % math.pi
+    y = (math.sin(th), math.cos(th))
+    edges, ev = (0.0,) + V.interior_knots() + (V.R,), make_eval(V)
+    for a, b in zip(edges, edges[1:]):
+        # V is constant or linear on a piece, so 2 V(mid) - V(a) = V(b-)
+        va = ev(a).real
+        k = math.sqrt(max(E - min(va, 2.0 * ev(0.5 * (a + b)).real - va), 1.0))
+        n = math.ceil(k * (b - a) / (0.5 * math.pi))
+        xs = [a + (b - a) * i / n for i in range(n)] + [b]
+        for x0, x1 in zip(xs, xs[1:]):
+            (u, du), _ = _propagate_vec(V, E, x0, y, x1, tol)
+            th += math.remainder(math.atan2(u.real, du.real) - th, 2 * math.pi)
+            s = max(abs(u), abs(du))
+            y = (u.real / s, du.real / s)
+    return th
 
 
 def eig_selfadjoint(V: PotentialSpec, R: float, pair: AnglePair, n_max: int,
                     tol: float = DEFAULT_TOL,
                     verify_counts: bool = False) -> SpectrumResult:
-    """Lowest n_max eigenvalues of the self-adjoint realization."""
-    if not V.is_real:
-        raise DomainError("eig_selfadjoint needs a real-valued potential")
-    if not pair.is_real:
-        raise DomainError("eig_selfadjoint needs real boundary angles")
+    """Lowest n_max eigenvalues of the self-adjoint realization, each
+    isolated by its index in the oscillation count N(E)."""
+    if not (V.is_real and pair.is_real):
+        raise DomainError("eig_selfadjoint needs real V and real angles")
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     _check_R(V, R)
     _check_tol(tol)
-    f = _delta_fn(V, pair, tol)
-    # scanning and bracketing only need signs; run them loose, polish tight
-    f_scan = _delta_fn(V, pair, max(tol, 1e-6))
-    sigma = _guess_offset(pair)
-    both_dirichlet_type = angles_mod_pi_zero(pair.theta0) and angles_mod_pi_zero(pair.thetaR)
-    n0 = 1 if both_dirichlet_type else 0
+    # N(E) and the Illinois pass only need signs: run them loose
+    scan = max(tol, 1e-6)
+    f, f_scan = _delta_fn(V, pair, tol), _delta_fn(V, pair, scan)
+    beta = pair.thetaR.real % math.pi or math.pi
+    angle = {}
 
-    # search window: a couple of asymptotic slots above the target count,
-    # and below the first guess far enough to catch Robin-bound states
-    s_top = (n0 + n_max + 1 + sigma) * math.pi / R
-    cot_bound = 0.0
-    for th in (pair.theta0, pair.thetaR):
-        s = math.sin(th.real)
-        if abs(s) > 1e-12:
-            cot_bound += abs(math.cos(th.real) / s)
-    depth = (cot_bound + V.l1_norm() + 2.0 / R) ** 2 + 1.0
-    e_min = -4.0 * depth
+    def count(E):  # N(E): the number of eigenvalues below E
+        if E not in angle:
+            angle[E] = _prufer_angle(V, E, pair.theta0.real, scan)
+        return max(0, math.ceil((angle[E] - beta) / math.pi))
 
-    # grid: uniform in sqrt(E) above 0 (zeros are ~ pi/R apart there),
-    # uniform in E below 0
-    pts = []
-    n_neg = max(8, int(8 * math.sqrt(abs(e_min)) * R / math.pi) + 1)
-    for i in range(n_neg):
-        pts.append(e_min + (0.0 - e_min) * i / n_neg)
-    n_pos = max(16, int(8 * s_top * R / math.pi) + 1)
-    for i in range(n_pos + 1):
-        s = s_top * i / n_pos
-        pts.append(s * s)
-    vals = [f_scan(p)[0].real for p in pts]
+    def aim(a, b, k):
+        # theta(R; E) = beta + k pi, with theta near linear in sqrt(E - lo)
+        t = (beta + k * math.pi - angle[a]) / max(angle[b] - angle[a], 1e-300)
+        m = lo + ((1.0 - t) * math.sqrt(a - lo) + t * math.sqrt(b - lo)) ** 2
+        return m if a < m < b else 0.5 * (a + b)
 
-    roots = []
-    for i in range(len(pts) - 1):
-        a, b, fa, fb = pts[i], pts[i + 1], vals[i], vals[i + 1]
-        if fa == 0.0:
-            roots.append(_newton_polish(f, complex(a), True).real)
-            continue
-        if fa * fb < 0.0:
-            for _ in range(10):
-                m = 0.5 * (a + b)
-                fm = f_scan(m)[0].real
-                if fm == 0.0:
-                    a = b = m
-                    break
-                if fa * fm < 0.0:
-                    b, fb = m, fm
-                else:
-                    a, fa = m, fm
-            lam = _newton_polish(f, complex(0.5 * (a + b)), True).real
-            roots.append(lam)
-    if vals[-1] == 0.0:
-        roots.append(_newton_polish(f, complex(pts[-1]), True).real)
-
-    # dedupe near-coincident refinements; keep those with a small residual
-    cleaned = [lam for lam, _ in _merge_close((lam, 1) for lam in roots)
-               if _is_root(f, lam, R, pair, max(tol, 1e-10))]
-    found = cleaned[:n_max]
-    if len(found) < n_max:
-        raise SearchFailureError(
-            f"found only {len(found)} of {n_max} eigenvalues in "
-            f"[{e_min:.3g}, {s_top**2:.3g}]")
-
-    if verify_counts:
-        lo, hi = found[0], found[-1]
-        margin = max(1.0, 0.25 * (math.pi / R) ** 2)
-        rect = (lo - margin, hi + margin, -1.0, 1.0)
-        n_rect = count_zeros_rectangle(V, R, pair, rect, tol)
-        if n_rect != len(found):
-            raise SearchFailureError(
-                f"bracket count {len(found)} disagrees with argument-"
-                f"principle count {n_rect} on {rect}")
-
-    res = tuple(_residual(f, lam) for lam in found)
-    return SpectrumResult(tuple(complex(lam) for lam in found), res,
-                          window=f"real line [{e_min:.6g}, {s_top**2:.6g}]",
-                          multiplicities=tuple(1 for _ in found))
+    v = [complex(w).real for w in V.values or (0.0,)]
+    lo, hi = min(v) - 1.0, max(v) + ((n_max + 0.5) * math.pi / R) ** 2
+    for _ in range(64):  # widen by bounded doubling
+        if count(lo) == 0 and count(hi) >= n_max:
+            break
+        lo, hi = (2.0 * lo - min(v), hi) if count(lo) else (lo, 2.0 * hi - lo)
+    else:
+        raise SearchFailureError(f"no window [{lo:.6g}, {hi:.6g}] with N(E_lo)"
+                                 f" = 0 and N(E_hi) >= {n_max}")
+    found, pts = [], [lo, hi]
+    for k in range(n_max):
+        # split a < b, N(a) <= k < N(b), until N(a) = k and N(b) = k + 1
+        for step in range(200):
+            a, b = next(p for p in zip(pts, pts[1:]) if count(p[1]) > k)
+            if count(a) == k and count(b) == k + 1:
+                break
+            side = k - 0.5 if count(a) < k else k + 0.5
+            bisect.insort(pts, 0.5 * (a + b) if step % 2 else aim(a, b, side))
+        else:
+            raise SearchFailureError(f"N(E) did not isolate eigenvalue {k} in "
+                                     f"[{a:.17g}, {b:.17g}]")
+        found.append(_root_in(f_scan, f, a, b, aim(a, b, k), scan, tol, k))
+    if verify_counts:  # the independent argument-principle cross-check
+        m = max(1.0, 0.25 * (math.pi / R) ** 2)
+        rect = (found[0] - m, found[-1] + m, -1.0, 1.0)
+        if (n_rect := count_zeros_rectangle(V, R, pair, rect, tol)) != n_max:
+            raise SearchFailureError(f"argument-principle count {n_rect} on "
+                                     f"{rect} disagrees with N(E) = {n_max}")
+    return SpectrumResult(tuple(complex(lam) for lam in found),
+                          tuple(abs(unscale(*f(lam), lam)) for lam in found),
+                          f"real line [{lo:.6g}, {hi:.6g}], N(E_lo)=0, "
+                          f"N(E_hi)={count(hi)}", (1,) * n_max)
 
 
-def _edge_pieces(a: complex, b: complex, R: float) -> int:
-    """Initial subdivision of a contour edge: enough pieces that no piece
-    can straddle several zeros (zeros of Delta sit near ((n pi/R))^2 on the
-    real direction; density in E is ~ R/(2 pi sqrt(E)))."""
-    s0 = math.sqrt(max(a.real, 0.0))
-    s1 = math.sqrt(max(b.real, 0.0))
-    expected = abs(s1 - s0) * R / math.pi + abs(b.imag - a.imag) * 0.25
-    return max(8, 4 * (int(expected) + 1))
+def _root_in(f_scan, f, a: float, b: float, x: float, scan: float,
+             tol: float, k: int) -> float:
+    """The zero of Delta in the bracket (a, b) of eigenvalue k: Illinois at
+    scan from x, then secant steps at tol kept in [a, b]."""
+    (xa, ga), (xb, gb) = (a, f_scan(a)[0].real), (b, f_scan(b)[0].real)
+    if ga * gb > 0.0:
+        raise SearchFailureError(f"Delta keeps its sign on the bracket "
+                                 f"[{a:.17g}, {b:.17g}] of eigenvalue {k}")
+    prev, side = a, 0
+    for _ in range(100):
+        gx = f_scan(x)[0].real
+        if gx == 0.0 or abs(x - prev) <= scan * max(1.0, abs(x)):
+            break
+        if (gx > 0.0) == (gb > 0.0):
+            xb, gb, ga, side = x, gx, ga * (0.5 if side > 0 else 1.0), 1
+        else:
+            xa, ga, gb, side = x, gx, gb * (0.5 if side < 0 else 1.0), -1
+        prev, x = x, (xa * gb - xb * ga) / (gb - ga)
+    else:
+        raise SearchFailureError(f"Illinois did not converge for eigenvalue "
+                                 f"{k} in [{a:.17g}, {b:.17g}]")
+    # the last evaluated iterate is returned, so its residual is reported
+    x0 = prev if prev != x else min(b, x + scan * max(1.0, abs(x)))
+    g0, g1 = f(x0)[0].real, f(x)[0].real
+    for _ in range(3):
+        x2 = min(max(x - g1 * (x - x0) / (g1 - g0), a), b) if g1 != g0 else x
+        if abs(x2 - x) <= 0.1 * tol * max(1.0, abs(x2)):
+            break
+        x0, g0, x, g1 = x, g1, x2, f(x2)[0].real
+    return x
 
 
 def _phase_winding(f, corners, R, pair, floor):
@@ -219,14 +217,18 @@ def _phase_winding(f, corners, R, pair, floor):
             if hit is None:
                 z = a + (b - a) * t
                 hit = f(z)
-                if _is_root(f, z, R, pair, floor):
+                if is_near_eigenvalue(hit[0], z, R, pair.theta0,
+                                      pair.thetaR, floor, hit[1]):
                     raise ContourError(
                         f"determinant vanishes near contour point {z}",
                         suggested_inflation=1.5)
                 vals[t] = hit
             return hit
 
-        n0 = _edge_pieces(a, b, R)
+        # enough pieces that none straddles two zeros (~pi/R apart in sqrt E)
+        s0, s1 = math.sqrt(max(a.real, 0.0)), math.sqrt(max(b.real, 0.0))
+        expected = abs(s1 - s0) * R / math.pi + abs(b.imag - a.imag) * 0.25
+        n0 = max(8, 4 * (int(expected) + 1))
         stack = [(i / n0, (i + 1) / n0) for i in reversed(range(n0))]
         while stack:
             t0, t1 = stack.pop()
@@ -243,13 +245,11 @@ def _phase_winding(f, corners, R, pair, floor):
                     f"{a + (b - a) * 0.5 * (t0 + t1)}; a zero may sit on the "
                     f"contour", suggested_inflation=1.5)
             tm = 0.5 * (t0 + t1)
-            stack.append((tm, t1))
-            stack.append((t0, tm))
+            stack += [(tm, t1), (t0, tm)]
     return total / (2.0 * math.pi)
 
 
-def _count_box(f, box, R: float, pair: AnglePair,
-               scan_tol: float = 1e-6) -> int:
+def _count_box(f, box, R: float, pair: AnglePair, scan_tol: float) -> int:
     re0, re1, im0, im1 = box
     # a determinant sampled at scan_tol carries O(scan_tol) relative error:
     # values below ~30 scan_tol * scale cannot be told from a contour hit
@@ -281,9 +281,8 @@ def eig_rectangle(V: PotentialSpec, R: float, pair: AnglePair, rect,
         raise DomainError("rectangle must have positive extent")
     _check_R(V, R)
     _check_tol(tol)
-    f = _delta_fn(V, pair, tol)
     scan_tol = max(tol, 1e-6)
-    f_scan = _delta_fn(V, pair, scan_tol)
+    f, f_scan = _delta_fn(V, pair, tol), _delta_fn(V, pair, scan_tol)
     min_size = 1e-8 * max(1.0, abs(re0), abs(re1))
 
     found = []  # (lambda, count in the isolating cell)
@@ -295,7 +294,7 @@ def eig_rectangle(V: PotentialSpec, R: float, pair: AnglePair, rect,
         small = max(a1 - a0, b1 - b0) < min_size
         if n == 1 or small:
             center = complex(0.5 * (a0 + a1), 0.5 * (b0 + b1))
-            lam = _newton_polish(f, center, False)
+            lam = _newton_polish(f, center)
             inside = (a0 - min_size <= lam.real <= a1 + min_size
                       and b0 - min_size <= lam.imag <= b1 + min_size)
             if inside or small:
@@ -326,6 +325,7 @@ def eig_rectangle(V: PotentialSpec, R: float, pair: AnglePair, rect,
             _count_box(f_scan, (re0, re1, im0, im1), R, pair, scan_tol))
     merged = _merge_close(found)
     eigs = tuple(lam for lam, _ in merged)
-    return SpectrumResult(eigs, tuple(_residual(f, lam) for lam in eigs),
+    return SpectrumResult(eigs,
+                          tuple(abs(unscale(*f(lam), lam)) for lam in eigs),
                           window=f"rectangle {rect}",
                           multiplicities=tuple(n for _, n in merged))

@@ -326,3 +326,31 @@ def test_domain_error_process_prints_no_traceback(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("invalid input: ")
+
+
+def test_eig_finds_robin_bound_states(tmp_path):
+    # the cli workload's seed-105 eig config, with two Robin bound states
+    # near -0.9355 and -0.0426
+    pytest.importorskip("mpmath")
+    pytest.importorskip("scipy")
+    path = str(Path(__file__).resolve().parents[1] / "perfbench")
+    if path not in sys.path:
+        sys.path.insert(0, path)
+    import oracles
+    grid = [0.0, 0.8, 1.6, 2.4, PI]
+    values = [0.0, 0.7235277306553369, 0.10245466563879863,
+              0.7657486789910927, 0.0]
+    theta0, thetaR, tol = 0.9590439908395737, 0.7321010158818426, 1e-10
+    cfg = write_config(tmp_path / "eig.json", tol=tol,
+                       potential={"type": "sampled", "grid": grid,
+                                  "values_re": values},
+                       theta={"theta0_re": theta0, "thetaR_re": thetaR})
+    out = tmp_path / "eig.csv"
+    assert run(["eig", "--config", cfg, "--n", "5", "--out", str(out)]) == 0
+    rows = [l.split(",") for l in out.read_text().splitlines()[2:]]
+    pieces = oracles.pieces_of("sampled", PI, values=values, grid=grid)
+    ref = oracles.real_eigs_ref(pieces, PI, theta0, thetaR, 5)
+    assert len(rows) == 5
+    for row, r in zip(rows, ref):
+        assert float(row[2]) == 0.0
+        assert abs(float(row[1]) - r) <= 100 * tol * max(1.0, abs(r))

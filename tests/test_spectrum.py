@@ -1,10 +1,12 @@
 """Eigenvalue localization: real-line bracketing and contour counting."""
 
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
-from bdm.errors import ContourError, DomainError
+from bdm.errors import ContourError, DomainError, SearchFailureError
 from bdm.potential import PotentialSpec
 from bdm.spectrum import (count_zeros_rectangle, eig_rectangle,
                           eig_selfadjoint)
@@ -195,3 +197,101 @@ def test_bad_tol_rejected_before_any_propagation(search, tol, monkeypatch):
     with pytest.raises(DomainError):
         search(tol)
     assert calls == []
+
+
+def _oracles():
+    """perfbench/oracles.py: mpmath/scipy references that import no bdm."""
+    pytest.importorskip("mpmath")
+    pytest.importorskip("scipy")
+    path = str(Path(__file__).resolve().parents[1] / "perfbench")
+    if path not in sys.path:
+        sys.path.insert(0, path)
+    import oracles
+    return oracles
+
+
+def _check_against_reference(V, pair, n, tol, expect=None):
+    oracles = _oracles()
+    res = eig_selfadjoint(V, V.R, pair, n, tol)
+    pieces = oracles.pieces_of(V.kind, V.R, V.breakpoints, V.values, V.grid)
+    ref = oracles.real_eigs_ref(pieces, V.R, pair.theta0.real,
+                                pair.thetaR.real, n)
+    assert len(res) == n
+    for lam, r in zip(res.eigenvalues, ref):
+        assert lam.imag == 0.0
+        assert abs(lam.real - r) <= 100 * tol * max(1.0, abs(r))
+    for lam, e in zip(res.eigenvalues, expect or ()):
+        assert lam.real == pytest.approx(e, abs=5e-3)
+    assert res.window.startswith("real line [")
+    assert "N(E_lo)=0" in res.window
+
+
+def test_deep_well_close_pair_found():
+    # the lowest pair, -391.85 and -367.46, is a close pair: Delta keeps its
+    # sign across any interval that holds both
+    V = PotentialSpec.piecewise_constant([1.0, 2.0], [0.0, -400.0, 0.0],
+                                         math.pi)
+    _check_against_reference(V, AnglePair(0.0, 0.0), 5, 1e-10,
+                             [-391.85, -367.46, -327.03, -270.99, -200.12])
+
+
+def test_robin_bound_states_found():
+    # the cli workload's seed-105 eig config: two Robin bound states 0.89
+    # apart, below a sampled bump
+    V = PotentialSpec.sampled(
+        [0.0, 0.8, 1.6, 2.4, math.pi],
+        [0.0, 0.7235277306553369, 0.10245466563879863, 0.7657486789910927,
+         0.0], math.pi)
+    _check_against_reference(V, AnglePair(0.9590439908395737,
+                                          0.7321010158818426), 5, 1e-10,
+                             [-0.93554, -0.04260])
+
+
+def test_long_interval_finds_every_eigenvalue():
+    # a long interval: a Robin bound state near -9.45 and many close well
+    # states between -2 and 5
+    V = PotentialSpec.piecewise_constant([7.0, 15.0, 22.0],
+                                         [1.0, -2.0, 0.5, 3.0], 30.0)
+    _check_against_reference(V, AnglePair(0.3, 2.0), 20, 1e-10)
+
+
+def test_search_work_is_bounded(monkeypatch):
+    # shaped like the spectrum workload's sampled Robin n = 10 problem
+    from bdm import odecore, spectrum
+    V = PotentialSpec.sampled([0.0, 0.6, 1.2, 1.9, 2.5, math.pi],
+                              [-1.0, 0.5, 1.5, 0.0, -0.5, 1.0], math.pi)
+    tol, n = 1e-8, 10
+    counts, tight = [], []
+    inner_angle, inner_solution = spectrum._prufer_angle, spectrum.solution
+
+    def angle(*args):
+        counts.append(args)
+        return inner_angle(*args)
+
+    def solution(V, z, t):
+        if t == tol:
+            tight.append(z)
+        return inner_solution(V, z, t)
+
+    monkeypatch.setattr(spectrum, "_prufer_angle", angle)
+    monkeypatch.setattr(spectrum, "solution", solution)
+    misses = odecore.solution.cache_info().misses
+    res = eig_selfadjoint(V, math.pi, AnglePair(0.9, 2.2), n, tol)
+    delta_solves = odecore.solution.cache_info().misses - misses
+    assert len(res) == n
+    assert delta_solves + len(counts) <= 160
+    assert len(tight) <= 5 * n
+
+
+def test_search_failures_are_typed(monkeypatch):
+    from bdm import spectrum
+    pair = AnglePair(0.0, 0.0)
+    # an angle that never grows: no window reaches N(E_hi) >= n_max
+    monkeypatch.setattr(spectrum, "_prufer_angle", lambda *args: 0.5)
+    with pytest.raises(SearchFailureError, match="no window"):
+        eig_selfadjoint(VFREE, math.pi, pair, 3)
+    # N(E) steps from 0 to 2 at E = 5: no bracket isolates eigenvalue 0
+    monkeypatch.setattr(spectrum, "_prufer_angle",
+                        lambda V, E, *args: 0.5 + 2 * math.pi * (E > 5.0))
+    with pytest.raises(SearchFailureError, match="eigenvalue 0"):
+        eig_selfadjoint(VFREE, math.pi, pair, 2)
