@@ -17,7 +17,7 @@ from .errors import (AccuracyError, BdmError, ConfigError, ContourError,
 from .lft import Block4, connector, in_class_A4, moebius, verify_lft_relation
 from .odecore import (BasisEndpoints, CauchyData, FundamentalEval,
                       basis_endpoints, char_det, fundamental_system,
-                      propagate, wronskian)
+                      propagate)
 from .potential import (PotentialSpec, closed_form_f, closed_form_g,
                         eval_potential, oracle_bdmap_zero, oracle_green_zero,
                         sqrt_upper, transfer_matrix_piecewise)

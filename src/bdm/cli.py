@@ -16,10 +16,8 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from functools import partial
 
 from . import __version__
-from ._lazy import np
 from .bdmap import bdmap_general, bdmap_robin, measure_point_mass
 from .errors import ConfigError, DomainError, NumericalError
 from .odecore import DEFAULT_TOL
@@ -169,19 +167,6 @@ def write_csv(path: str, header: list, rows) -> None:
             fh.write(text)
 
 
-def _over_z(cfg, args, fn, payload) -> list:
-    """fn(payload, z) over the z grid, in grid order; with --jobs > 1 the
-    grid is fanned over a process pool (fn and payload must pickle)."""
-    zs = z_grid_from_config(cfg.raw, args.z)
-    task = partial(fn, payload)
-    if args.jobs <= 1 or len(zs) <= 1:
-        return [task(z) for z in zs]
-    from concurrent.futures import ProcessPoolExecutor
-    np.ndarray  # noqa: B018  loads numpy before the fork: the workers share it
-    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-        return list(pool.map(task, zs))
-
-
 def _mat_row(prefix_vals) -> list:
     out = []
     for v in prefix_vals:
@@ -199,43 +184,34 @@ def cmd_eig(cfg, args) -> int:
     return EXIT_OK
 
 
-def _map_at_z(payload, z):
-    V, R, pair, primed, tol = payload
-    if primed is not None:
-        lam = bdmap_general(V, R, AngleQuad(pair, primed), z, tol).matrix
-    else:
-        lam = bdmap_robin(V, R, pair, z, tol).matrix
-    return [z.real, z.imag] + _mat_row([lam[0, 0], lam[0, 1], lam[1, 0], lam[1, 1]])
-
-
 def cmd_map(cfg, args) -> int:
-    payload = (cfg.V, cfg.R, cfg.pair, cfg.primed, cfg.tol)
-    rows = _over_z(cfg, args, _map_at_z, payload)
+    rows = []
+    for z in z_grid_from_config(cfg.raw, args.z):
+        if cfg.primed is not None:
+            lam = bdmap_general(cfg.V, cfg.R, AngleQuad(cfg.pair, cfg.primed),
+                                z, cfg.tol).matrix
+        else:
+            lam = bdmap_robin(cfg.V, cfg.R, cfg.pair, z, cfg.tol).matrix
+        rows.append([z.real, z.imag]
+                    + _mat_row([lam[0, 0], lam[0, 1], lam[1, 0], lam[1, 1]]))
     header = (["z_re", "z_im"] + _complex_cols("l11") + _complex_cols("l12")
               + _complex_cols("l21") + _complex_cols("l22"))
     write_csv(args.out, header, rows)
     return EXIT_OK
 
 
-def _green_at_z(payload, z):
-    V, R, pair, xs, xps, tol = payload
-    rows = []
-    for x in xs:
-        for xp in xps:
-            g = green(V, R, pair, z, x, xp, tol)
-            rows.append([z.real, z.imag, x, xp, g.value.real, g.value.imag])
-    return rows
-
-
 def cmd_green(cfg, args) -> int:
     raw = cfg.raw
     n = int(raw.get("x_points", 5))
-    xs = raw.get("x_grid") or [cfg.R * (i + 1) / (n + 1) for i in range(n)]
-    xps = raw.get("xp_grid") or xs
-    payload = (cfg.V, cfg.R, cfg.pair, [float(v) for v in xs],
-               [float(v) for v in xps], cfg.tol)
-    chunks = _over_z(cfg, args, _green_at_z, payload)
-    rows = [row for chunk in chunks for row in chunk]
+    xs = [float(v) for v in raw.get("x_grid")
+          or [cfg.R * (i + 1) / (n + 1) for i in range(n)]]
+    xps = [float(v) for v in raw.get("xp_grid") or xs]
+    rows = []
+    for z in z_grid_from_config(raw, args.z):
+        for x in xs:
+            for xp in xps:
+                g = green(cfg.V, cfg.R, cfg.pair, z, x, xp, cfg.tol).value
+                rows.append([z.real, z.imag, x, xp, g.real, g.imag])
     write_csv(args.out, ["z_re", "z_im", "x", "xp", "g_re", "g_im"], rows)
     return EXIT_OK
 
@@ -256,18 +232,15 @@ def cmd_measure(cfg, args) -> int:
     return EXIT_OK
 
 
-def _wtm_at_z(payload, z):
-    V, R, pair, x0, alpha, tol = payload
-    M = wt_matrix(V, R, z, x0, pair, alpha, tol).matrix
-    return [z.real, z.imag] + _mat_row([M[0, 0], M[0, 1], M[1, 0], M[1, 1]])
-
-
 def cmd_wtm(cfg, args) -> int:
     x0 = args.x0 if args.x0 is not None else cfg.raw.get("x0", cfg.R / 2)
     alpha = args.alpha if args.alpha is not None else cfg.raw.get("alpha", 0.0)
-    payload = (cfg.V, cfg.R, cfg.pair, float(x0), float(alpha),
-               cfg.tol)
-    rows = _over_z(cfg, args, _wtm_at_z, payload)
+    rows = []
+    for z in z_grid_from_config(cfg.raw, args.z):
+        M = wt_matrix(cfg.V, cfg.R, z, float(x0), cfg.pair, float(alpha),
+                      cfg.tol).matrix
+        rows.append([z.real, z.imag]
+                    + _mat_row([M[0, 0], M[0, 1], M[1, 0], M[1, 1]]))
     header = (["z_re", "z_im"] + _complex_cols("m11") + _complex_cols("m12")
               + _complex_cols("m21") + _complex_cols("m22"))
     write_csv(args.out, header, rows)
@@ -296,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None,
                        help="override tolerance (also via BDM_TOL)")
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for z grids")
+                       help="ignored; z grids run in one process")
         p.add_argument("--out", default=default_out,
                        help="output CSV path ('-' for stdout)")
 

@@ -68,16 +68,15 @@ def moebius_imag_factor(A: Block4, L: np.ndarray) -> np.ndarray:
 
 
 def in_class_A4(A: Block4, tol: float = 1e-12):
-    """Whether A preserves the skew form J4; returns (bool, residual)."""
-    F = A.full()
-    J4 = np.block([[np.zeros((2, 2)), -np.eye(2)],
-                   [np.eye(2), np.zeros((2, 2))]]).astype(complex)
-    res = float(np.max(np.abs(F.conj().T @ J4 @ F - J4)))
+    """Whether A preserves the skew form J4, A* J4 A = J4; returns (bool,
+    residual)."""
+    res = block_relations_residual(A)
     return res < tol, res
 
 
 def block_relations_residual(A: Block4) -> float:
-    """Max residual of the four equivalent block relations of membership."""
+    """Max residual of the four block relations of membership: up to sign,
+    the four 2x2 blocks of A* J4 A - J4."""
     i2 = np.eye(2)
     r = [A.a11.conj().T @ A.a21 - A.a21.conj().T @ A.a11,
          A.a22.conj().T @ A.a12 - A.a12.conj().T @ A.a22,

@@ -16,17 +16,17 @@ far-endpoint values Delta(theta0, 0) resp. Delta(0, thetaR): no second
 solve and no boundary-value iteration is needed, and only the normalized
 u-, u+ (unit value at the far endpoint) need z off the auxiliary spectra.
 
-How a sweep propagates depends only on the kind of V.  A zero or
-piecewise-constant V is propagated exactly: each knot-to-knot piece applies
-its trig rotation (potential.trig_piece), so the result is exact to
-rounding and tol is not used.  A sampled V is integrated by adaptive
-Dormand-Prince 5(4) at tol, with the knots as forced step boundaries so the
-integrator keeps its order across kinks of V.
+How a sweep propagates depends only on the pieces of V it crosses
+(PotentialSpec.span), whatever the kind of V.  A constant piece applies its
+exact trig rotation (potential.trig_piece), exact to rounding with tol
+unused.  A linear piece is integrated by adaptive Dormand-Prince 5(4) at
+tol, one piece at a time, so the integrator keeps its order across kinks.
 
-Solution data are mantissas times e^log_scale: the exact path pulls
-e^|Im k d| out of every piece, so nothing overflows however large |z| is
-(DP54 keeps log_scale = 0).  Ratios (maps, m-functions, u+-/Delta, Green's
-function) read the mantissas; absolute values and zero tests add log_scale.
+Solution data are mantissas times e^log_scale: each constant piece pulls
+e^|Im k d| out, so nothing overflows however large |z| is on exact paths
+(DP54 leaves log_scale as it is).  Ratios (maps, m-functions, u+-/Delta,
+Green's function) read the mantissas; absolute values and zero tests add
+log_scale.
 
 Everything at one (V, z, tol) derives from one Solution: the sweep, and per
 angle pair the ~u-, ~u+ interior tables.  solution() keeps
@@ -36,7 +36,6 @@ it and distinct problems never do.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import functools
 import math
@@ -44,8 +43,7 @@ from dataclasses import dataclass
 
 from .errors import (AccuracyError, DomainError, EigenvalueHitError,
                      NearEigenvalueError, StiffnessError)
-from .potential import (PotentialSpec, is_near_eigenvalue, make_eval,
-                        trig_piece, unscale)
+from .potential import PotentialSpec, is_near_eigenvalue, trig_piece, unscale
 
 DEFAULT_TOL = 1e-10
 
@@ -189,18 +187,6 @@ def _rk_segment(qfun, x0: float, y0: tuple, x1: float, tol: float) -> tuple:
     return tuple(y)
 
 
-def _split_at_knots(V: PotentialSpec, x0: float, x1: float):
-    """Waypoints from x0 to x1 with interior potential knots inserted."""
-    pts = [x0]
-    knots = V.interior_knots()
-    if x1 >= x0:
-        pts.extend(k for k in knots if x0 < k < x1)
-    else:
-        pts.extend(k for k in sorted(knots, reverse=True) if x1 < k < x0)
-    pts.append(x1)
-    return pts
-
-
 def _check_tol(tol: float) -> None:
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol = {tol} must be positive and finite")
@@ -220,34 +206,30 @@ def _check_z(z: complex) -> None:
 def _propagate_vec(V: PotentialSpec, z: complex, x0: float, y0: tuple,
                    x1: float, tol: float) -> tuple:
     """(y, log_scale): the (value, derivative) pairs of y0 at x0 carried to
-    x1, as mantissas y times e^log_scale."""
+    x1, as mantissas y times e^log_scale, one piece of V.span at a time."""
     _check_tol(tol)
     _check_z(z)
-    pts = _split_at_knots(V, x0, x1)
-    if V.kind == "sampled":
-        vx = make_eval(V)
-
-        def qfun(x):
-            return vx(x) - z
-
-        y = y0
-        for a, b in zip(pts, pts[1:]):
-            y = _rk_segment(qfun, a, y, b, tol)
-            if not all(map(cmath.isfinite, y)):
-                raise AccuracyError(f"the solution state is not finite at "
-                                    f"x = {b} (z = {z})", z=z, x=b)
-        return y, 0.0
-    # zero or piecewise constant: one exact rotation per knot-to-knot piece
     y, log_scale = list(y0), 0.0
-    for a, b in zip(pts, pts[1:]):
-        v = (V.values[bisect.bisect_right(V.breakpoints, 0.5 * (a + b))]
-             if V.values else 0.0)
-        c, s, beta = trig_piece(z - v, b - a)
-        ks = (v - z) * s
-        for i in range(0, len(y), 2):
-            u, du = y[i], y[i + 1]
-            y[i], y[i + 1] = c * u + s * du, ks * u + c * du
-        log_scale += beta
+    for s, e, (a, b, va, vb) in V.span(x0, x1):
+        if va == vb:
+            # constant piece: the exact rotation
+            c, sn, beta = trig_piece(z - va, e - s)
+            ks = (va - z) * sn
+            for i in range(0, len(y), 2):
+                u, du = y[i], y[i + 1]
+                y[i], y[i + 1] = c * u + sn * du, ks * u + c * du
+            log_scale += beta
+            continue
+        w = b - a
+
+        def qfun(x):  # V - z on the linear piece
+            t = (x - a) / w
+            return va * (1.0 - t) + vb * t - z
+
+        y = list(_rk_segment(qfun, s, y, e, tol))
+        if not all(map(cmath.isfinite, y)):
+            raise AccuracyError(f"the solution state is not finite at "
+                                f"x = {e} (z = {z})", z=z, x=e)
     return tuple(y), log_scale
 
 
@@ -319,19 +301,6 @@ def basis_endpoints(V: PotentialSpec, z: complex, theta0: complex,
     with u-(R) = u+(0) = 1 holding exactly by construction.
     """
     return solution(V, z, tol).basis(theta0, thetaR).endpoints
-
-
-def wronskian(basis: BasisEndpoints, rel_tol: float = 1e-7) -> complex:
-    """W(u+, u-), cross-checked between the x = 0 and x = R evaluations."""
-    w0 = (basis.uplus_at_0.u * basis.uminus_at_0.du
-          - basis.uplus_at_0.du * basis.uminus_at_0.u)
-    wR = (basis.uplus_at_R.u * basis.uminus_at_R.du
-          - basis.uplus_at_R.du * basis.uminus_at_R.u)
-    scale = max(abs(w0), abs(wR))
-    if scale > 0.0 and abs(w0 - wR) > rel_tol * scale:
-        raise AccuracyError(
-            f"Wronskian endpoint evaluations disagree: {w0} vs {wR}")
-    return w0
 
 
 class Solution:

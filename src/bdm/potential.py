@@ -20,8 +20,8 @@ every module shares this branch.
 
 from __future__ import annotations
 
-import bisect
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -170,52 +170,32 @@ class PotentialSpec:
     def is_real(self) -> bool:
         return all(complex(v).imag == 0.0 for v in self.values)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.kind == "zero" or all(v == 0 for v in self.values)
-
-    def interior_knots(self) -> tuple:
-        """Interior points forced as integrator step boundaries."""
-        if self.kind == "piecewise_constant":
-            return self.breakpoints
+    @functools.cached_property
+    def pieces(self) -> tuple:
+        """(a, b, va, vb) per piece of [0, R], left to right: V is linear
+        from va at a to vb at b, and constant where va == vb.  The one place
+        that knows how each kind splits [0, R]."""
         if self.kind == "sampled":
-            return tuple(x for x in self.grid if 0.0 < x < self.R)
-        return ()
+            g, v = self.grid, self.values
+            return tuple(zip(g, g[1:], v, v[1:]))
+        edges = (0.0,) + self.breakpoints + (self.R,)
+        return tuple((a, b, v, v) for a, b, v in
+                     zip(edges, edges[1:], self.values or (0.0,)))
+
+    def span(self, x0: float, x1: float) -> list:
+        """The path from x0 to x1 as (s, e, piece), one per piece it
+        crosses, in the order of travel: the path runs from s to e inside
+        piece.  Empty when x0 == x1."""
+        lo, hi = (x0, x1) if x0 <= x1 else (x1, x0)
+        parts = [(p[0] if p[0] > lo else lo, p[1] if p[1] < hi else hi, p)
+                 for p in self.pieces if lo < hi and p[0] < hi and p[1] > lo]
+        if x0 > x1:
+            return [(e, s, p) for s, e, p in reversed(parts)]
+        return parts
 
     def l1_norm(self) -> float:
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "piecewise_constant":
-            edges = (0.0,) + self.breakpoints + (self.R,)
-            return sum(abs(v) * (edges[i + 1] - edges[i])
-                       for i, v in enumerate(self.values))
-        total = 0.0
-        for i in range(len(self.grid) - 1):
-            h = self.grid[i + 1] - self.grid[i]
-            total += 0.5 * (abs(self.values[i]) + abs(self.values[i + 1])) * h
-        return total
-
-
-def make_eval(V: PotentialSpec):
-    """Specialized fast evaluator x -> V(x) for the integrator hot loop."""
-    if V.kind == "zero":
-        return lambda x: 0.0
-    if V.kind == "piecewise_constant":
-        bp, vals = V.breakpoints, V.values
-        return lambda x: vals[bisect.bisect_right(bp, x)]
-    grid, vals, n = V.grid, V.values, len(V.grid)
-
-    def ev(x):
-        i = bisect.bisect_right(grid, x) - 1
-        if i < 0:
-            return vals[0]
-        if i >= n - 1:
-            return vals[-1]
-        x0, x1 = grid[i], grid[i + 1]
-        t = (x - x0) / (x1 - x0)
-        return vals[i] * (1.0 - t) + vals[i + 1] * t
-
-    return ev
+        return sum(0.5 * (abs(va) + abs(vb)) * (b - a)
+                   for a, b, va, vb in self.pieces)
 
 
 def eval_potential(V: PotentialSpec, x: float) -> complex:
@@ -223,7 +203,11 @@ def eval_potential(V: PotentialSpec, x: float) -> complex:
     breakpoints)."""
     if not 0.0 <= x <= V.R:
         raise DomainError(f"x = {x} outside [0, {V.R}]")
-    return complex(make_eval(V)(x))
+    a, b, va, vb = next(p for p in reversed(V.pieces) if p[0] <= x)
+    if va == vb:
+        return complex(va)
+    t = (x - a) / (b - a)
+    return complex(va * (1.0 - t) + vb * t)
 
 
 def log_delta_scale(z: complex, R: float, theta0: complex,
@@ -301,17 +285,13 @@ def transfer_matrix_piecewise(V: PotentialSpec, z: complex, a: float,
     """Exact 2x2 propagator T with (u(b), u'(b))^T = T (u(a), u'(a))^T for
     piecewise-constant V; det T = 1.  AccuracyError when an entry does not
     fit in a double."""
-    if V.kind not in ("zero", "piecewise_constant"):
+    if any(va != vb for _, _, va, vb in V.pieces):
         raise DomainError("transfer matrices require a piecewise-constant potential")
     if not (0.0 <= a <= b <= V.R):
         raise DomainError("need 0 <= a <= b <= R")
-    edges = (0.0,) + V.breakpoints + (V.R,)
     T, log_scale = np.eye(2, dtype=complex), 0.0
-    for i, v in enumerate(V.values or (0.0,)):
-        lo = max(edges[i], a)
-        hi = min(edges[i + 1], b)
-        if hi > lo:
-            c, s, beta = trig_piece(z - v, hi - lo)
-            T = np.array([[c, s], [(v - z) * s, c]]) @ T
-            log_scale += beta
+    for lo, hi, (_, _, v, _) in V.span(a, b):
+        c, s, beta = trig_piece(z - v, hi - lo)
+        T = np.array([[c, s], [(v - z) * s, c]]) @ T
+        log_scale += beta
     return np.array([[unscale(t, log_scale, z, b) for t in row] for row in T])

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .errors import ContourError, DomainError, SearchFailureError
 from .odecore import (DEFAULT_TOL, _check_R, _check_tol, _propagate_vec,
                       delta_from_fs, solution)
-from .potential import PotentialSpec, is_near_eigenvalue, make_eval, unscale
+from .potential import PotentialSpec, is_near_eigenvalue, unscale
 from .traces import AnglePair
 
 
@@ -84,17 +84,14 @@ def _merge_close(found):
 def _prufer_angle(V: PotentialSpec, E: float, theta0: float,
                   tol: float) -> float:
     """theta(R; E) = atan2(u, u') of the unit-start ~u-, from theta(0) =
-    -theta0 mod pi.  Each knot piece is cut so that k cut <= pi/2 with
+    -theta0 mod pi.  Each piece of V is cut so that k cut <= pi/2 with
     k^2 = max(E - min V, 1): atan2(k u, u') then moves by at most pi/2 per
     cut and theta never falls back past a multiple of pi, so the principal
     difference of consecutive atan2 values is the true increment."""
     th = -theta0 % math.pi
     y = (math.sin(th), math.cos(th))
-    edges, ev = (0.0,) + V.interior_knots() + (V.R,), make_eval(V)
-    for a, b in zip(edges, edges[1:]):
-        # V is constant or linear on a piece, so 2 V(mid) - V(a) = V(b-)
-        va = ev(a).real
-        k = math.sqrt(max(E - min(va, 2.0 * ev(0.5 * (a + b)).real - va), 1.0))
+    for a, b, va, vb in V.pieces:
+        k = math.sqrt(max(E - min(va.real, vb.real), 1.0))
         n = math.ceil(k * (b - a) / (0.5 * math.pi))
         xs = [a + (b - a) * i / n for i in range(n)] + [b]
         for x0, x1 in zip(xs, xs[1:]):
@@ -133,7 +130,7 @@ def eig_selfadjoint(V: PotentialSpec, R: float, pair: AnglePair, n_max: int,
         m = lo + ((1.0 - t) * math.sqrt(a - lo) + t * math.sqrt(b - lo)) ** 2
         return m if a < m < b else 0.5 * (a + b)
 
-    v = [complex(w).real for w in V.values or (0.0,)]
+    v = [w.real for p in V.pieces for w in p[2:]]
     lo, hi = min(v) - 1.0, max(v) + ((n_max + 0.5) * math.pi / R) ** 2
     for _ in range(64):  # widen by bounded doubling
         if count(lo) == 0 and count(hi) >= n_max:

@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +15,8 @@ from bdm.bdmap import (asymptotic_reference, bdmap_general, bdmap_robin,
                        lambda_from_fs, m_minus, m_plus)
 from bdm.errors import AccuracyError, NearEigenvalueError
 from bdm.odecore import (CauchyData, basis_endpoints, char_det, delta_from_fs,
-                         fundamental_system, propagate, wronskian)
-from bdm.potential import (PotentialSpec, is_near_eigenvalue, make_eval,
+                         fundamental_system, propagate)
+from bdm.potential import (PotentialSpec, is_near_eigenvalue,
                            oracle_bdmap_zero, sqrt_upper,
                            transfer_matrix_piecewise)
 from bdm.resolvent import green, green_evaluator, krein_correction
@@ -158,42 +160,59 @@ def test_basis_near_auxiliary_eigenvalue_raises():
     assert "theta0" in str(err.value)
 
 
+def _wronskians(be):
+    """W(u+, u-) = u+ u-' - u+' u- from the basis data at x = 0 and x = R."""
+    ends = ((be.uplus_at_0, be.uminus_at_0), (be.uplus_at_R, be.uminus_at_R))
+    return tuple(p.u * m.du - p.du * m.u for p, m in ends)
+
+
+def _wronskian_from_delta(V, z, t0, tR):
+    """W(u+, u-) = Delta(t0, tR) / (Delta(t0, 0) Delta(0, tR))."""
+    return char_det(V, z, t0, tR) / (char_det(V, z, t0, 0.0)
+                                     * char_det(V, z, 0.0, tR))
+
+
 def test_wronskian_frozen_free_dirichlet():
     V = PotentialSpec.zero(math.pi)
-    w = wronskian(basis_endpoints(V, -1.0, 0.0, 0.0))
-    assert w == pytest.approx(1.0 / SINH_PI, rel=1e-9)
+    for w in _wronskians(basis_endpoints(V, -1.0, 0.0, 0.0)):
+        assert w == pytest.approx(1.0 / SINH_PI, rel=1e-9)
+    assert _wronskian_from_delta(V, -1.0, 0.0, 0.0) == pytest.approx(
+        1.0 / SINH_PI, rel=1e-9)
 
 
 def test_wronskian_small_near_eigenvalue():
     # W vanishes on the spectrum of the Robin pair under test (the pair must
     # be generic: for theta0 = 0 the u+ normalization itself degenerates on
     # the spectrum and W diverges instead)
-    from bdm.spectrum import eig_selfadjoint
-    from bdm.traces import AnglePair
     V = PotentialSpec.zero(math.pi)
     pair = AnglePair(0.7, 1.1)
     lam0 = eig_selfadjoint(V, math.pi, pair, 1).eigenvalues[0].real
-    w = wronskian(basis_endpoints(V, lam0 + 1e-8, pair.theta0, pair.thetaR))
-    assert abs(w) < 1e-6
+    z = lam0 + 1e-8
+    expect = _wronskian_from_delta(V, z, pair.theta0, pair.thetaR)
+    assert abs(expect) < 1e-6
+    for w in _wronskians(basis_endpoints(V, z, pair.theta0, pair.thetaR)):
+        assert abs(w) < 1e-6
+        assert w == pytest.approx(expect, rel=1e-6)
 
 
 def test_wronskian_factorizations():
-    # both boundary factorizations of W agree for random Robin angles
+    # both boundary factorizations of W agree with the Delta ratio for
+    # random Robin angles
     V = PotentialSpec.sampled([0.0, 0.8, 2.0], [0.4, -0.9 + 0.3j, 1.0], 2.0)
     rng = np.random.default_rng(4)
     for _ in range(8):
         t0, tR = rng.uniform(0.1, 6.1, 2)
         z = complex(rng.uniform(-3, 3), rng.uniform(0.5, 2.5))
         be = basis_endpoints(V, z, t0, tR)
-        w = wronskian(be)
+        w = _wronskian_from_delta(V, z, t0, tR)
         left = ((-cmath.sin(t0) * be.uminus_at_0.u
                  + cmath.cos(t0) * be.uminus_at_0.du)
                 * (cmath.cos(t0) + cmath.sin(t0) * be.uplus_at_0.du))
         right = ((cmath.cos(tR) - cmath.sin(tR) * be.uminus_at_R.du)
                  * (-cmath.sin(tR) * be.uplus_at_R.u
                     - cmath.cos(tR) * be.uplus_at_R.du))
-        assert left == pytest.approx(w, rel=1e-9)
-        assert right == pytest.approx(w, rel=1e-9)
+        for got in (left, right) + _wronskians(be):
+            assert got == pytest.approx(w, rel=1e-9)
 
 
 def test_wronskian_constancy_two_solutions():
@@ -226,18 +245,6 @@ def test_volterra_asymptotics_decay_rate():
     C = ratios[0] * 1.5
     assert ratios[1] <= C
     assert ratios[2] <= C
-
-
-def test_wronskian_endpoint_disagreement_raises():
-    from bdm.odecore import BasisEndpoints
-    bad = BasisEndpoints(
-        uminus_at_0=CauchyData(0.0, 1.0, 0.0),
-        uminus_at_R=CauchyData(1.0, 0.5, 2.0),
-        uplus_at_0=CauchyData(1.0, -0.5, 0.0),
-        uplus_at_R=CauchyData(0.1, -1.0, 2.0),
-        z=1j)
-    with pytest.raises(AccuracyError):
-        wronskian(bad)
 
 
 def _record_propagations(monkeypatch):
@@ -309,13 +316,12 @@ def test_bad_tol_is_domain_error(tol):
 # ------------------------------------------------ exact piecewise-constant path
 
 def _dp54_fundamental(V, z, tol):
-    """The fundamental system at R from DP54 alone (_rk_segment across the
-    knots), the reference for the exact piecewise-constant path."""
-    vx = make_eval(V)
+    """The fundamental system at R from DP54 alone (_rk_segment on every
+    piece of V.span, constant ones too), the reference for the exact path."""
     y = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
-    pts = odecore._split_at_knots(V, 0.0, V.R)
-    for a, b in zip(pts, pts[1:]):
-        y = odecore._rk_segment(lambda x: vx(x) - z, a, y, b, tol)
+    for s, e, (a, b, va, vb) in V.span(0.0, V.R):
+        y = odecore._rk_segment(
+            lambda x: va + (vb - va) * (x - a) / (b - a) - z, s, y, e, tol)
     return odecore.FundamentalEval(y, 0.0, z, V.R)
 
 
@@ -408,6 +414,8 @@ def _mp_piecewise_map(V, q, z):
     (PotentialSpec.piecewise_constant([1.1, 2.0], [0.8, -0.5 + 0.3j, 0.4],
                                       math.pi), True),
     (PotentialSpec.sampled([0.0, 1.0, math.pi], [0.3, -1.0, 0.1], math.pi), False),
+    # all pieces flat: propagation follows the piece, not the kind
+    (PotentialSpec.sampled([0.0, 1.0, math.pi], [0.3, 0.3, 0.3], math.pi), True),
 ])
 def test_dp54_runs_for_sampled_potentials_only(V, exact, monkeypatch):
     calls = []
@@ -422,6 +430,27 @@ def test_dp54_runs_for_sampled_potentials_only(V, exact, monkeypatch):
     bdmap_robin(V, math.pi, AnglePair(0.35, 0.75), 20.0 + 1.5j)
     odecore.solution.cache_clear()
     assert (len(calls) == 0) if exact else (len(calls) >= 1)
+
+
+def test_mixed_flat_sloped_sampled_map_matches_airy_oracle():
+    # flat pieces of a sampled V rotate exactly, sloped ones run DP54, and
+    # one sweep carries the log scale across both
+    pytest.importorskip("mpmath")
+    pytest.importorskip("scipy")
+    path = str(Path(__file__).resolve().parents[1] / "perfbench")
+    if path not in sys.path:
+        sys.path.insert(0, path)
+    import oracles
+    R = math.pi
+    grid = [0.0, 0.7, 1.5, 2.2, R]
+    vals = [0.5, 0.5, -1.0 + 0.3j, -1.0 + 0.3j, 0.8]
+    V = PotentialSpec.sampled(grid, vals, R)
+    pieces = oracles.pieces_of("sampled", R, values=V.values, grid=V.grid)
+    angles = (0.35, 0.75, 1.5, 2.4)
+    for z in (1 + 1j, 30 + 2j, 1e3j, 1e4j):
+        got = bdmap_general(V, R, quad(*angles), z).matrix
+        expect = oracles.bdmap_ref(pieces, R, angles, z)
+        assert np.max(np.abs(got - expect)) <= 1e-9 * np.max(np.abs(expect))
 
 
 def test_large_z_fundamental_system_does_not_fit():

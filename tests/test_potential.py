@@ -57,6 +57,46 @@ def test_direct_construction_with_lists_is_hashable():
     assert cmath.isfinite(char_det(V, 1.0 + 1.0j, 0.3, 0.7))
 
 
+def test_pieces_table_of_each_kind():
+    assert PotentialSpec.zero(2.0).pieces == ((0.0, 2.0, 0.0, 0.0),)
+    pc = PotentialSpec.piecewise_constant([1.0], [2.0, 5.0], 3.0)
+    assert pc.pieces == ((0.0, 1.0, 2.0, 2.0), (1.0, 3.0, 5.0, 5.0))
+    sp = PotentialSpec.sampled([0.0, 1.0, 2.0], [0.0, 4.0, 4.0], 2.0)
+    assert sp.pieces == ((0.0, 1.0, 0.0, 4.0), (1.0, 2.0, 4.0, 4.0))
+
+
+SPAN_V = PotentialSpec.sampled([0.0, 0.7, 1.5, 2.2, 3.0],
+                               [0.5, 0.5, -1.0, 2.0, 0.0], 3.0)
+
+
+def test_span_crosses_pieces_in_the_order_of_travel():
+    V = SPAN_V
+    right = V.span(0.3, 2.6)
+    assert [(s, e) for s, e, _ in right] == [(0.3, 0.7), (0.7, 1.5),
+                                             (1.5, 2.2), (2.2, 2.6)]
+    assert tuple(p for _, _, p in right) == V.pieces
+    # the leftward path is the rightward one reversed
+    assert V.span(2.6, 0.3) == [(e, s, p) for s, e, p in reversed(right)]
+    # a path inside one piece, and one that ends on a knot
+    assert V.span(1.9, 1.6) == [(1.9, 1.6, V.pieces[2])]
+    assert V.span(0.0, 0.7) == [(0.0, 0.7, V.pieces[0])]
+    assert V.span(1.2, 1.2) == [] and V.span(0.7, 0.7) == []
+
+
+@settings(max_examples=100)
+@given(x0=st.floats(min_value=0.0, max_value=3.0),
+       x1=st.floats(min_value=0.0, max_value=3.0))
+def test_span_parts_join_up_to_the_path(x0, x1):
+    parts = SPAN_V.span(x0, x1)
+    ends = [x0] + [e for _, e, _ in parts]
+    assert [s for s, _, _ in parts] == ends[:-1]
+    assert ends[-1] == x1 or not parts
+    assert sum(abs(e - s) for s, e, _ in parts) == pytest.approx(
+        abs(x1 - x0), abs=1e-15)
+    for s, e, (a, b, _, _) in parts:
+        assert a <= min(s, e) < max(s, e) <= b
+
+
 def test_potential_validation():
     with pytest.raises(DomainError):
         PotentialSpec.piecewise_constant([2.0, 1.0], [1, 2, 3], 3.0)

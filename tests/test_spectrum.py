@@ -166,10 +166,10 @@ def test_rectangle_refines_cell_when_newton_escapes():
 
 
 def test_deep_well_scan_finishes():
-    # V = -400 on [1, 2]: the scan reaches E ~ -6.4e5, where Delta is
+    # V = -400 on [1, 2]: the search reaches E ~ -6.4e5, where Delta is
     # ~e^2500; on the scaled Delta it completes in well under a second (it
-    # took minutes before).  The values are still wrong (ROADMAP item 2), so
-    # only completion is pinned here.
+    # took minutes before).  Only completion is pinned here; the values are
+    # checked against real_eigs_ref by test_deep_well_close_pair_found.
     V = PotentialSpec.piecewise_constant([1.0, 2.0], [0.0, -400.0, 0.0], math.pi)
     res = eig_selfadjoint(V, math.pi, AnglePair(0.0, 0.0), 3)
     assert len(res) == 3
