@@ -162,18 +162,15 @@ def _neville_to_zero(eps, vals):
 
 
 def measure_point_mass(V: PotentialSpec, R: float, quad: AngleQuad,
-                       lam: float, eps_sequence=(1e-3, 1e-4, 1e-5),
-                       tol: float = DEFAULT_TOL) -> np.ndarray:
+                       lam: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Jump Sigma({lam}) of the Herglotz measure at an isolated eigenvalue.
 
     Near a simple pole, Lambda(z) S ~ Sigma({lam})/(lam - z), so
     eps * Im[(Lambda S)(lam + i eps)] -> Sigma({lam}); the limit is taken by
-    polynomial extrapolation over eps_sequence (the literal double limit of
-    the Stieltjes inversion is not implementable).
+    polynomial extrapolation over eps = 1e-3, 1e-4, 1e-5 (the literal double
+    limit of the Stieltjes inversion is not implementable).
     """
-    eps = sorted((float(e) for e in eps_sequence), reverse=True)
-    if len(eps) < 2:
-        raise DomainError("need at least two epsilon values to extrapolate")
+    eps = (1e-3, 1e-4, 1e-5)
     vals = [e * herglotz_imag(V, R, quad, lam + 1j * e, tol) for e in eps]
     jump, est = _neville_to_zero(eps, vals)
     scale = max(1.0, float(np.max(np.abs(jump))))

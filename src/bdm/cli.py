@@ -15,10 +15,11 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import __version__
-from .bdmap import bdmap_general, bdmap_robin, measure_point_mass
+from .bdmap import bdmap_general, measure_point_mass
 from .errors import ConfigError, DomainError, NumericalError
 from .odecore import DEFAULT_TOL
 from .potential import PotentialSpec
@@ -42,14 +43,26 @@ def _complex_cols(prefix: str):
     return [f"{prefix}_re", f"{prefix}_im"]
 
 
-def _angle(block: dict, prefix: str) -> complex:
-    return complex(block.get(f"{prefix}_re", 0.0), block.get(f"{prefix}_im", 0.0))
+def _pair(block: dict) -> AnglePair:
+    return AnglePair(*(complex(block.get(f"{t}_re", 0.0), block.get(f"{t}_im", 0.0))
+                       for t in ("theta0", "thetaR")))
+
+
+@contextmanager
+def _reading(what: str):
+    """Malformed input met while reading `what` is a ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc
 
 
 def load_potential(cfg: dict, R: float) -> PotentialSpec:
     pot = cfg.get("potential", {"type": "zero"})
     kind = pot.get("type")
-    try:
+    with _reading("potential block"):
         if kind == "zero":
             return PotentialSpec.zero(R)
         vre = pot.get("values_re", [])
@@ -62,17 +75,12 @@ def load_potential(cfg: dict, R: float) -> PotentialSpec:
                                                     values, R)
         if kind == "sampled":
             return PotentialSpec.sampled(pot.get("grid", []), values, R)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"invalid potential block: {exc}") from exc
     raise ConfigError(f"unknown potential type {kind!r}")
 
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    """A parsed problem description; angles are strip-normalized and the
-    JSON emitted by to_json round-trips to an equal config."""
+    """A parsed problem description; angles are strip-normalized."""
 
     R: float
     V: PotentialSpec
@@ -81,50 +89,20 @@ class ProblemConfig:
     tol: float
     raw: dict
 
-    def to_json(self) -> dict:
-        pot = {"type": self.V.kind}
-        if self.V.kind == "piecewise_constant":
-            pot["breakpoints"] = list(self.V.breakpoints)
-        if self.V.kind == "sampled":
-            pot["grid"] = list(self.V.grid)
-        if self.V.kind != "zero":
-            pot["values_re"] = [v.real for v in self.V.values]
-            pot["values_im"] = [v.imag for v in self.V.values]
-        out = {"R": self.R, "potential": pot,
-               "theta": {"theta0_re": self.pair.theta0.real,
-                         "theta0_im": self.pair.theta0.imag,
-                         "thetaR_re": self.pair.thetaR.real,
-                         "thetaR_im": self.pair.thetaR.imag},
-               "tol": self.tol}
-        if self.primed is not None:
-            out["theta_prime"] = {"theta0_re": self.primed.theta0.real,
-                                  "theta0_im": self.primed.theta0.imag,
-                                  "thetaR_re": self.primed.thetaR.real,
-                                  "thetaR_im": self.primed.thetaR.imag}
-        for key in ("z_grid", "x_grid", "xp_grid", "x_points", "x0", "alpha"):
-            if key in self.raw:
-                out[key] = self.raw[key]
-        return out
-
 
 def parse_config(cfg: dict, tol_override=None) -> ProblemConfig:
-    if "R" not in cfg:
-        raise ConfigError("config must set R")
-    R = float(cfg["R"])
-    V = load_potential(cfg, R)
-    th = cfg.get("theta", {})
-    pair = AnglePair(_angle(th, "theta0"), _angle(th, "thetaR"))
-    primed = None
-    if "theta_prime" in cfg:
-        tp = cfg["theta_prime"]
-        primed = AnglePair(_angle(tp, "theta0"), _angle(tp, "thetaR"))
-    tol = cfg.get("tol", None)
-    if tol is None:
-        tol = float(os.environ.get("BDM_TOL", DEFAULT_TOL))
-    if tol_override is not None:
-        tol = tol_override
-    return ProblemConfig(R=R, V=V, pair=pair, primed=primed,
-                         tol=float(tol), raw=cfg)
+    with _reading("config"):
+        if "R" not in cfg:
+            raise ConfigError("config must set R")
+        R = float(cfg["R"])
+        V = load_potential(cfg, R)
+        pair = _pair(cfg.get("theta", {}))
+        primed = _pair(cfg["theta_prime"]) if "theta_prime" in cfg else None
+        tol = tol_override if tol_override is not None else cfg.get("tol")
+        if tol is None:
+            tol = os.environ.get("BDM_TOL", DEFAULT_TOL)
+        return ProblemConfig(R=R, V=V, pair=pair, primed=primed,
+                             tol=float(tol), raw=cfg)
 
 
 def load_config(path: str, tol_override=None) -> ProblemConfig:
@@ -138,20 +116,22 @@ def load_config(path: str, tol_override=None) -> ProblemConfig:
 
 def z_grid_from_config(cfg: dict, z_arg=None):
     if z_arg is not None:
-        return [complex(*[float(p) for p in z_arg.split(",")])] \
-            if "," in z_arg else [complex(float(z_arg), 0.0)]
+        with _reading(f"--z {z_arg!r} (expected 're' or 're,im')"):
+            return [complex(*(float(p) for p in z_arg.split(",")))]
     zg = cfg.get("z_grid")
     if zg is None:
         return [complex(0.0, 1.0)]
-    if "list" in zg:
-        return [complex(p.get("re", 0.0), p.get("im", 0.0)) for p in zg["list"]]
-    if "rect" in zg:
-        re0, re1, im0, im1 = (float(v) for v in zg["rect"])
-        n_re = int(zg.get("n_re", 5))
-        n_im = int(zg.get("n_im", 5))
-        res = [re0 + (re1 - re0) * i / max(n_re - 1, 1) for i in range(n_re)]
-        ims = [im0 + (im1 - im0) * j / max(n_im - 1, 1) for j in range(n_im)]
-        return [complex(a, b) for b in ims for a in res]
+    with _reading("z_grid"):
+        if "list" in zg:
+            return [complex(p.get("re", 0.0), p.get("im", 0.0))
+                    for p in zg["list"]]
+        if "rect" in zg:
+            re0, re1, im0, im1 = (float(v) for v in zg["rect"])
+            n_re = int(zg.get("n_re", 5))
+            n_im = int(zg.get("n_im", 5))
+            res = [re0 + (re1 - re0) * i / max(n_re - 1, 1) for i in range(n_re)]
+            ims = [im0 + (im1 - im0) * j / max(n_im - 1, 1) for j in range(n_im)]
+            return [complex(a, b) for b in ims for a in res]
     raise ConfigError("z_grid must carry either 'list' or 'rect'")
 
 
@@ -186,12 +166,9 @@ def cmd_eig(cfg, args) -> int:
 
 def cmd_map(cfg, args) -> int:
     rows = []
+    quad = AngleQuad(cfg.pair, cfg.primed or cfg.pair.robin_primed())
     for z in z_grid_from_config(cfg.raw, args.z):
-        if cfg.primed is not None:
-            lam = bdmap_general(cfg.V, cfg.R, AngleQuad(cfg.pair, cfg.primed),
-                                z, cfg.tol).matrix
-        else:
-            lam = bdmap_robin(cfg.V, cfg.R, cfg.pair, z, cfg.tol).matrix
+        lam = bdmap_general(cfg.V, cfg.R, quad, z, cfg.tol).matrix
         rows.append([z.real, z.imag]
                     + _mat_row([lam[0, 0], lam[0, 1], lam[1, 0], lam[1, 1]]))
     header = (["z_re", "z_im"] + _complex_cols("l11") + _complex_cols("l12")
@@ -202,10 +179,11 @@ def cmd_map(cfg, args) -> int:
 
 def cmd_green(cfg, args) -> int:
     raw = cfg.raw
-    n = int(raw.get("x_points", 5))
-    xs = [float(v) for v in raw.get("x_grid")
-          or [cfg.R * (i + 1) / (n + 1) for i in range(n)]]
-    xps = [float(v) for v in raw.get("xp_grid") or xs]
+    with _reading("x_points/x_grid/xp_grid"):
+        n = int(raw.get("x_points", 5))
+        xs = [float(v) for v in raw.get("x_grid")
+              or [cfg.R * (i + 1) / (n + 1) for i in range(n)]]
+        xps = [float(v) for v in raw.get("xp_grid") or xs]
     rows = []
     for z in z_grid_from_config(raw, args.z):
         for x in xs:
@@ -233,12 +211,14 @@ def cmd_measure(cfg, args) -> int:
 
 
 def cmd_wtm(cfg, args) -> int:
-    x0 = args.x0 if args.x0 is not None else cfg.raw.get("x0", cfg.R / 2)
-    alpha = args.alpha if args.alpha is not None else cfg.raw.get("alpha", 0.0)
+    with _reading("x0/alpha"):
+        x0 = float(args.x0 if args.x0 is not None
+                   else cfg.raw.get("x0", cfg.R / 2))
+        alpha = float(args.alpha if args.alpha is not None
+                      else cfg.raw.get("alpha", 0.0))
     rows = []
     for z in z_grid_from_config(cfg.raw, args.z):
-        M = wt_matrix(cfg.V, cfg.R, z, float(x0), cfg.pair, float(alpha),
-                      cfg.tol).matrix
+        M = wt_matrix(cfg.V, cfg.R, z, x0, cfg.pair, alpha, cfg.tol).matrix
         rows.append([z.real, z.imag]
                     + _mat_row([M[0, 0], M[0, 1], M[1, 0], M[1, 1]]))
     header = (["z_re", "z_im"] + _complex_cols("m11") + _complex_cols("m12")

@@ -193,10 +193,6 @@ class PotentialSpec:
             return [(e, s, p) for s, e, p in reversed(parts)]
         return parts
 
-    def l1_norm(self) -> float:
-        return sum(0.5 * (abs(va) + abs(vb)) * (b - a)
-                   for a, b, va, vb in self.pieces)
-
 
 def eval_potential(V: PotentialSpec, x: float) -> complex:
     """Pointwise value of the chosen representative of V (right limits at

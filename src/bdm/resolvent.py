@@ -136,24 +136,17 @@ def lambda_times_s(V: PotentialSpec, R: float, quad: AngleQuad, z: complex,
 
 @dataclass
 class RankTwoKernel:
-    """Separable kernel sum_{j,k} left_j(x) coupling[j,k] right_k(x')."""
+    """Separable kernel sum_{j,k} left_j(x) coupling[j][k] right_k(x')."""
 
     left: tuple
-    coupling: np.ndarray
+    coupling: tuple
     right: tuple
 
     def __call__(self, x: float, xp: float) -> complex:
         lx = [f(x) for f in self.left]
         rx = [f(xp) for f in self.right]
-        return sum(lj * c * rk for lj, row in zip(lx, self.coupling.tolist())
+        return sum(lj * c * rk for lj, row in zip(lx, self.coupling)
                    for c, rk in zip(row, rx))
-
-
-_SAME_ANGLE_TOL = 1e-14
-
-
-def _angles_equal(a: complex, b: complex) -> bool:
-    return abs(a - b) <= _SAME_ANGLE_TOL * max(1.0, abs(a), abs(b))
 
 
 def krein_kernel(V: PotentialSpec, R: float, pair: AnglePair,
@@ -161,29 +154,23 @@ def krein_kernel(V: PotentialSpec, R: float, pair: AnglePair,
                  tol: float = DEFAULT_TOL) -> RankTwoKernel | None:
     """Correction kernel C with G_{primed}(z,x,x') = G_{pair}(z,x,x') - C(x,x').
 
-    Case dispatch: both angles changed uses the full S^-1 Lambda^-1 sandwich;
-    a single changed angle uses the sine-inverse with the matching
-    coordinate projection.  Returns None when primed == pair (no formula
-    applies; the correction is zero).
+    C(x,x') = sum_{j,k} r_j(x) (Lambda^-1 S)_{jk} r_k(x') with r = (~u+/Delta,
+    ~u-/Delta), Lambda^-1 the map from the primed traces back and S =
+    diag(sin(theta0'-theta0), sin(thetaR'-thetaR)).  An unchanged angle
+    zeroes its column of S and its off-diagonal entry of Lambda^-1, so one
+    formula covers every case.  Returns None when primed == pair (the
+    correction is zero).
     """
-    same0 = _angles_equal(primed.theta0, pair.theta0)
-    sameR = _angles_equal(primed.thetaR, pair.thetaR)
-    if same0 and sameR:
+    if primed == pair:
         return None
-    rows = gamma_resolvent_rows(V, R, pair, primed, z, tol)
-    # Lambda^-1 by the group law: the map from the primed traces back
+    view = green_evaluator(V, R, pair, z, tol)
+    view.delta  # the pair's spectrum test comes before the primed map's
     lam_inv = bdmap_general(V, R, AngleQuad(primed, pair), z, tol).matrix
-    d0, dR = AngleQuad(pair, primed).diffs
-    middle = np.zeros((2, 2), dtype=complex)
-    if not same0 and not sameR:  # S^-1 Lambda^-1
-        middle[0] = lam_inv[0] / cmath.sin(d0)
-        middle[1] = lam_inv[1] / cmath.sin(dR)
-    elif sameR:  # only theta0 changed: P1 Lambda^-1 P1 / sin
-        middle[0, 0] = lam_inv[0, 0] / cmath.sin(d0)
-    else:        # only thetaR changed: P2 Lambda^-1 P2 / sin
-        middle[1, 1] = lam_inv[1, 1] / cmath.sin(dR)
-    # both factors are the trace-row kernels of gamma_{primed} (H - z)^-1
-    return RankTwoKernel(left=rows, coupling=middle, right=rows)
+    s0, sR = (cmath.sin(d) for d in AngleQuad(pair, primed).diffs)
+    coupling = tuple((a * s0, b * sR) for a, b in lam_inv.tolist())
+    rows = (lambda x: view.over_delta(1, x).u,
+            lambda x: view.over_delta(-1, x).u)
+    return RankTwoKernel(left=rows, coupling=coupling, right=rows)
 
 
 def krein_correction(V: PotentialSpec, R: float, pair: AnglePair,

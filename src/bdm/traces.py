@@ -50,12 +50,10 @@ class AnglePair:
     def is_real(self) -> bool:
         return self.theta0.imag == 0.0 and self.thetaR.imag == 0.0
 
-    def shifted(self, d0: complex, dR: complex) -> "AnglePair":
-        return AnglePair(self.theta0 + d0, self.thetaR + dR)
-
     def robin_primed(self) -> "AnglePair":
         """The (theta + pi/2) pair defining the Robin-to-Robin special case."""
-        return self.shifted(math.pi / 2.0, math.pi / 2.0)
+        return AnglePair(self.theta0 + math.pi / 2.0,
+                         self.thetaR + math.pi / 2.0)
 
 
 @dataclass(frozen=True)

@@ -56,19 +56,6 @@ def wt_m(V: PotentialSpec, R: float, z: complex, x0: float, xi: complex,
     return -num / den
 
 
-def m_plus_via_wt(V: PotentialSpec, R: float, pair: AnglePair, z: complex,
-                  tol: float = DEFAULT_TOL) -> complex:
-    """m+ as the two-point scalar with frames (0, theta0) -> (R, thetaR)."""
-    return wt_m(V, R, z, 0.0, pair.theta0, R, pair.thetaR, tol)
-
-
-def m_minus_via_wt(V: PotentialSpec, R: float, pair: AnglePair, z: complex,
-                   tol: float = DEFAULT_TOL) -> complex:
-    """m- with frames at (R, beta(thetaR)) -> (0, alpha(theta0)); beta(t) =
-    alpha(-t) maps the slots onto the (xi, eta) convention."""
-    return wt_m(V, R, z, R, -pair.thetaR, 0.0, -pair.theta0, tol)
-
-
 def _alpha_rotate(m0: complex, alpha: float) -> complex:
     c, s = math.cos(alpha), math.sin(alpha)
     den = c + s * m0
@@ -134,12 +121,12 @@ def _wedge_limits(gk, x0: float, h: float):
 
 
 def wt_matrix_via_green(V: PotentialSpec, R: float, z: complex, x0: float,
-                        pair: AnglePair, alpha: float = 0.0, h: float = 1e-4,
+                        pair: AnglePair, alpha: float = 0.0,
                         tol: float = DEFAULT_TOL) -> np.ndarray:
     """M_alpha assembled from the Green kernel only (finite differences on
     the off-diagonal wedge), for cross-checking the m-function route."""
     gk = green_evaluator(V, R, pair, z, tol)
-    g, sym, mixed = _wedge_limits(gk, x0, h)
+    g, sym, mixed = _wedge_limits(gk, x0, 1e-4)
     c, s = math.cos(alpha), math.sin(alpha)
     m11 = c * c * g + 2.0 * c * s * sym + s * s * mixed
     m22 = s * s * g - 2.0 * c * s * sym + c * c * mixed

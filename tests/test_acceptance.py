@@ -333,11 +333,16 @@ def test_criterion_11_spectrum_and_suite_runtime():
                      for n, lam in enumerate(res.eigenvalues))
     assert worst_free < 1e-10
 
+    def l1_norm(V):
+        # trapezoid over V's pieces: exact for this bump, which is >= 0
+        return sum(0.5 * (abs(va) + abs(vb)) * (b - a)
+                   for a, b, va, vb in V.pieces)
+
     raw = PotentialSpec.sampled([0.0, 0.7, 1.5, 2.4, R],
                                 [0.0, 0.55, 0.35, 0.6, 0.0], R)
-    scale = 1.0 / raw.l1_norm()
+    scale = 1.0 / l1_norm(raw)
     vb = PotentialSpec.sampled(raw.grid, [v * scale for v in raw.values], R)
-    assert abs(vb.l1_norm() - 1.0) < 1e-12  # unit-L1 bump
+    assert abs(l1_norm(vb) - 1.0) < 1e-12  # unit-L1 bump
     res = eig_selfadjoint(vb, R, AnglePair(0.0, 0.0), 50, tol=1e-8)
     seq = [abs(math.sqrt(lam.real) * R / math.pi - (n + 1)) * (n + 1)
            for n, lam in enumerate(res.eigenvalues)]

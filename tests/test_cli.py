@@ -169,6 +169,29 @@ def test_malformed_config_is_config_error(tmp_path):
     assert run(["eig", "--config", str(p)]) == 1
     p.write_text(json.dumps({"R": PI, "potential": {"type": "warped"}}))
     assert run(["eig", "--config", str(p)]) == 1
+    for argv, cfg in [
+            (["map"], {"R": "abc"}),
+            (["map"], {"R": PI, "theta": {"theta0_re": "abc"}}),
+            (["map"], {"R": PI, "z_grid": {"rect": [0, 1, 0.5, 1],
+                                           "n_re": "x"}}),
+            (["map"], {"R": PI, "z_grid": {"list": [{"re": "a"}]}}),
+            (["green"], {"R": PI, "x_grid": ["a", 1.0]}),
+            (["wtm"], {"R": PI, "x0": "mid"}),
+            (["wtm"], {"R": PI, "alpha": "x"})]:
+        p.write_text(json.dumps(cfg))
+        assert run(argv + ["--config", str(p),
+                           "--out", str(tmp_path / "o.csv")]) == 1
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("z", ["1,2,3", "abc", "1,", ""])
+def test_malformed_z_is_config_error(z, free_dirichlet, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    assert run(["map", "--config", free_dirichlet, "--z", z,
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_eigenvalue_hit_is_numerical_error(free_dirichlet, tmp_path, capsys):
@@ -188,16 +211,6 @@ def test_bdm_tol_env_override(robin_sampled, free_dirichlet, monkeypatch):
     monkeypatch.delenv("BDM_TOL")
     code = run(["verify", "--config", robin_sampled])
     assert code == 0
-
-
-def test_config_round_trips_losslessly(robin_sampled):
-    from bdm.cli import load_config, parse_config
-    cfg = load_config(robin_sampled)
-    again = parse_config(json.loads(json.dumps(cfg.to_json())))
-    assert again.R == cfg.R
-    assert again.V == cfg.V
-    assert again.pair == cfg.pair
-    assert again.tol == cfg.tol
 
 
 def test_theta_prime_switches_to_general_map(tmp_path):
@@ -233,14 +246,23 @@ def test_domain_error_is_one_line_exit_1(argv, tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
-def _python(*args):
+def _python(*args, cwd=None):
     """Run the interpreter on args with this checkout's src on the path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], env=env,
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("script", sorted(
+    (Path(__file__).resolve().parents[1] / "scripts").glob("*.py")),
+    ids=lambda p: p.stem)
+def test_demo_script_runs(script, tmp_path):
+    # the demos write their CSVs into the working directory
+    proc = _python(str(script), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_import_bdm_leaves_cli_out():

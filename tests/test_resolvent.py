@@ -217,6 +217,8 @@ KREIN_CASES = [
     (AnglePair(0.0, 0.0), AnglePair(math.pi / 2, math.pi / 2)),  # both change
     (AnglePair(0.0, 0.0), AnglePair(0.0, math.pi / 3)),          # thetaR only
     (AnglePair(0.0, 0.0), AnglePair(1.1, 0.0)),                  # theta0 only
+    (AnglePair(0.0, 0.0), AnglePair(0.0, math.pi)),   # same condition, by pi
+    (AnglePair(0.0, 0.0), AnglePair(1.1, 1e-9)),      # thetaR moved by 1e-9
 ]
 
 

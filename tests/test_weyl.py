@@ -10,8 +10,8 @@ from bdm.errors import DomainError, PoleHitError
 from bdm.potential import PotentialSpec, _f_reduced, _g_reduced
 from bdm.resolvent import green_evaluator
 from bdm.traces import AnglePair
-from bdm.weyl import (green_link_check, interior_m, m_minus_via_wt,
-                      m_plus_via_wt, wt_m, wt_matrix, wt_matrix_via_green)
+from bdm.weyl import (green_link_check, interior_m, wt_m, wt_matrix,
+                      wt_matrix_via_green)
 
 R = math.pi
 VFREE = PotentialSpec.zero(R)
@@ -23,10 +23,13 @@ VCPLX = PotentialSpec.sampled([0.0, 1.0, 2.2, R],
 def test_wt_m_endpoint_frames_are_m_functions():
     z = 0.9 + 1.2j
     for pair in (AnglePair(0.9, 0.4), AnglePair(0.0, 2.2)):
-        assert m_plus_via_wt(VCPLX, R, pair, z) == pytest.approx(
-            m_plus(VCPLX, R, pair.theta0, pair.thetaR, z), rel=1e-9)
-        assert m_minus_via_wt(VCPLX, R, pair, z) == pytest.approx(
-            m_minus(VCPLX, R, pair.theta0, pair.thetaR, z), rel=1e-9)
+        t0, tR = pair.theta0, pair.thetaR
+        # m+ with frames (0, theta0) -> (R, thetaR); m- with (R, -thetaR)
+        # -> (0, -theta0), as beta(t) = alpha(-t)
+        assert wt_m(VCPLX, R, z, 0.0, t0, R, tR) == pytest.approx(
+            m_plus(VCPLX, R, t0, tR, z), rel=1e-9)
+        assert wt_m(VCPLX, R, z, R, -tR, 0.0, -t0) == pytest.approx(
+            m_minus(VCPLX, R, t0, tR, z), rel=1e-9)
 
 
 def test_wt_m_angle_lft():
