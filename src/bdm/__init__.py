@@ -12,12 +12,11 @@ from .bdmap import (BoundaryDataMap, asymptotic_reference, bdmap_general,
                     measure_point_mass)
 from .errors import (AccuracyError, BdmError, ConfigError, ContourError,
                      DegenerateError, DomainError, EigenvalueHitError,
-                     NearEigenvalueError, NumericalError, PoleHitError,
-                     SearchFailureError, StiffnessError)
+                     NumericalError, PoleHitError, SearchFailureError,
+                     StiffnessError)
 from .lft import Block4, connector, in_class_A4, moebius, verify_lft_relation
-from .odecore import (BasisEndpoints, CauchyData, FundamentalEval,
-                      basis_endpoints, char_det, fundamental_system,
-                      propagate)
+from .odecore import (CauchyData, FundamentalEval, char_det,
+                      fundamental_system, propagate)
 from .potential import (PotentialSpec, closed_form_f, closed_form_g,
                         eval_potential, oracle_bdmap_zero, oracle_green_zero,
                         sqrt_upper, transfer_matrix_piecewise)

@@ -31,10 +31,6 @@ class EigenvalueHitError(NumericalError):
         self.operator = operator
 
 
-class NearEigenvalueError(EigenvalueHitError):
-    """An auxiliary normalization denominator is below the scale floor."""
-
-
 class PoleHitError(NumericalError):
     """A scalar m-function denominator vanished at the requested point."""
 

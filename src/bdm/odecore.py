@@ -13,8 +13,9 @@ vanishes exactly on the spectrum of the Robin realization (tested by
 delta_off_spectrum alone).  The unit-start solutions ~u-, ~u+ (boundary
 condition at 0 resp. R) have W(~u+, ~u-) = Delta(theta0, thetaR) and the
 far-endpoint values Delta(theta0, 0) resp. Delta(0, thetaR): no second
-solve and no boundary-value iteration is needed, and only the normalized
-u-, u+ (unit value at the far endpoint) need z off the auxiliary spectra.
+solve and no boundary-value iteration is needed.  Everything built on them
+divides by Delta(theta0, thetaR) alone, so it needs z off the spectrum of
+H_{theta0,thetaR} and nothing else.
 
 How a sweep propagates depends only on the pieces of V it crosses
 (PotentialSpec.span), whatever the kind of V.  A constant piece applies its
@@ -24,7 +25,7 @@ tol, one piece at a time, so the integrator keeps its order across kinks.
 
 Solution data are mantissas times e^log_scale: each constant piece pulls
 e^|Im k d| out, so nothing overflows however large |z| is on exact paths
-(DP54 leaves log_scale as it is).  Ratios (maps, m-functions, u+-/Delta,
+(DP54 leaves log_scale as it is).  Ratios (maps, m-functions, ~u+-/Delta,
 Green's function) read the mantissas; absolute values and zero tests add
 log_scale.
 
@@ -42,7 +43,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (AccuracyError, DomainError, EigenvalueHitError,
-                     NearEigenvalueError, StiffnessError)
+                     StiffnessError)
 from .potential import PotentialSpec, is_near_eigenvalue, trig_piece, unscale
 
 DEFAULT_TOL = 1e-10
@@ -94,17 +95,6 @@ class FundamentalEval:
 
     def wronskian(self) -> complex:
         return self.theta * self.dphi - self.dtheta * self.phi
-
-
-@dataclass(frozen=True)
-class BasisEndpoints:
-    """Endpoint Cauchy data of the distinguished basis u-, u+ at fixed z."""
-
-    uminus_at_0: CauchyData
-    uminus_at_R: CauchyData
-    uplus_at_0: CauchyData
-    uplus_at_R: CauchyData
-    z: complex
 
 
 def _rk_segment(qfun, x0: float, y0: tuple, x1: float, tol: float) -> tuple:
@@ -287,25 +277,9 @@ def char_det(V: PotentialSpec, z: complex, theta0: complex, thetaR: complex,
     return unscale(delta_from_fs(fs, theta0, thetaR), fs.log_scale, z, V.R)
 
 
-def basis_endpoints(V: PotentialSpec, z: complex, theta0: complex,
-                    thetaR: complex, tol: float = DEFAULT_TOL) -> BasisEndpoints:
-    """Endpoint data of u- and u+ from a single fundamental-system solve.
-
-    u- = (-sin(theta0) theta + cos(theta0) phi)/Delta(theta0, 0) and u+ from
-    the analogous combination; collapsing the Wronskian gives the exact
-    endpoint values
-
-        u-(0)  = -sin(theta0)/Delta(theta0,0),  u-'(0) = cos(theta0)/Delta(theta0,0),
-        u+(R)  = -sin(thetaR)/Delta(0,thetaR),  u+'(R) = -cos(thetaR)/Delta(0,thetaR),
-
-    with u-(R) = u+(0) = 1 holding exactly by construction.
-    """
-    return solution(V, z, tol).basis(theta0, thetaR).endpoints
-
-
 class Solution:
-    """The forward sweep at one (V, z, tol) and the u-, u+ bases built on it,
-    one BasisView per angle pair asked for."""
+    """The forward sweep at one (V, z, tol) and the ~u-, ~u+ bases built on
+    it, one BasisView per angle pair asked for."""
 
     def __init__(self, V: PotentialSpec, z: complex, tol: float):
         _check_z(z)   # before the sweep, so a bad z costs no propagation
@@ -331,19 +305,18 @@ def solution(V: PotentialSpec, z: complex, tol: float) -> Solution:
 
 
 class BasisView:
-    """u-, u+ of the (theta0, thetaR) realization at one (V, z, tol), and
-    the Green's function G(x, x') = u-(min) u+(max) / W built on them.
+    """The unit-start ~u-, ~u+ of the (theta0, thetaR) realization at one
+    (V, z, tol), and the Green's function G(x, x') = ~u-(min) ~u+(max) /
+    Delta built on them.
 
-    The tables hold the unit-start ~u-, ~u+, with data (-sin theta0,
-    cos theta0) at 0 and (-sin thetaR, -cos thetaR) at R, as (mantissas,
-    log scale).  A new x is propagated from the nearest tabulated point on
-    the side the solution grows from (rightward for ~u-, leftward for ~u+):
-    for Im sqrt(z) > 0 the complementary mode then decays and the relative
-    step control holds.  W(~u+, ~u-) = Delta(theta0, thetaR), so G =
-    ~u-(min) ~u+(max) / Delta, with the scales netted before they are
-    applied, needs z off the spectrum only.  Only uminus, uplus and
-    endpoints divide by Delta(theta0, 0) resp. Delta(0, thetaR), which gives
-    u-(R) = u+(0) = 1, and need z off the auxiliary spectra.
+    The tables hold ~u- with data (-sin theta0, cos theta0) at 0 and ~u+
+    with data (-sin thetaR, -cos thetaR) at R, as (mantissas, log scale).
+    A new x is propagated from the nearest tabulated point on the side the
+    solution grows from (rightward for ~u-, leftward for ~u+): for
+    Im sqrt(z) > 0 the complementary mode then decays and the relative
+    step control holds.  W(~u+, ~u-) = Delta(theta0, thetaR), so every
+    value read here, with the scales netted before they are applied, needs
+    z off the spectrum of H_{theta0,thetaR} only.
     """
 
     def __init__(self, sol: Solution, theta0: complex, thetaR: complex):
@@ -389,43 +362,12 @@ class BasisView:
         return CauchyData(u, du, x), log_scale
 
     def over_delta(self, sign: int, x: float) -> CauchyData:
-        """~u(x) / Delta(theta0, thetaR) for ~u- (sign -1) or ~u+ (+1)."""
-        return self._divided(sign, x, self.delta)
-
-    def _divided(self, sign: int, x: float, d: complex) -> CauchyData:
-        """~u(x) / (d e^log_scale), with the scales netted first."""
+        """~u(x) / Delta(theta0, thetaR) for ~u- (sign -1) or ~u+ (+1),
+        with the scales netted first."""
+        d = self.delta
         m, g = self.scaled(sign, x)
         scale = math.exp(g - self._log)
         return CauchyData(m.u / d * scale, m.du / d * scale, x)
-
-    def _data(self, sign: int, x: float) -> CauchyData:
-        """u- (sign -1) or u+ (sign +1) at x: ~u divided by Delta(theta0, 0)
-        resp. Delta(0, thetaR)."""
-        sol = self.sol
-        th0, thR, name = ((self.theta0, 0.0, "H_{theta0,0}") if sign < 0
-                          else (0.0, self.thetaR, "H_{0,thetaR}"))
-        try:
-            d = delta_off_spectrum(sol.fs, sol.V.R, th0, thR, sol.tol)
-        except EigenvalueHitError as err:
-            raise NearEigenvalueError(
-                f"z = {sol.z} is numerically an eigenvalue of the auxiliary "
-                f"operator {name}; the u+/- normalization does not exist",
-                z=sol.z, operator=name) from err
-        return self._divided(sign, x, d)
-
-    def uminus(self, x: float) -> CauchyData:
-        return self._data(-1, x)
-
-    def uplus(self, x: float) -> CauchyData:
-        return self._data(1, x)
-
-    @functools.cached_property
-    def endpoints(self) -> BasisEndpoints:
-        R = self.sol.V.R
-        return BasisEndpoints(
-            uminus_at_0=self._data(-1, 0.0), uminus_at_R=self._data(-1, R),
-            uplus_at_0=self._data(1, 0.0), uplus_at_R=self._data(1, R),
-            z=self.sol.z)
 
     def _kernel(self, lo: float, dlo: bool, hi: float, dhi: bool) -> complex:
         """~u-(lo) ~u+(hi) / Delta, with ~u-' if dlo and ~u+' if dhi."""

@@ -140,7 +140,7 @@ class PotentialSpec:
             g = self.grid
             if len(g) < 2 or g[0] != 0.0 or g[-1] != self.R:
                 raise DomainError("sampled grid must span [0, R]")
-            if any(g[i] >= g[i + 1] for i in range(len(g) - 1)):
+            if any(not g[i] < g[i + 1] for i in range(len(g) - 1)):
                 raise DomainError("sampled grid must be strictly increasing")
             if len(self.values) != len(g):
                 raise DomainError("need one sample per grid point")

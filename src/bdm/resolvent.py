@@ -1,14 +1,13 @@
 """Green's function, boundary-trace resolvent kernels, and Krein-type
 rank-<=2 resolvent corrections between different Robin realizations.
 
-The resolvent kernel is G(z,x,x') = u-(z,min) u+(z,max) / W(z) with W the
-Wronskian of the distinguished basis; from the unit-start solutions it is
-~u-(min) ~u+(max) / Delta(z), defined for z off the spectrum only.
+The resolvent kernel is G(z,x,x') = ~u-(z,min) ~u+(z,max) / Delta(z) with
+~u-, ~u+ the unit-start solutions, defined for z off the spectrum only.
 Applying a primed trace to the resolvent produces integral kernels
-proportional to u+ and u-, and the adjoint of the conjugated trace applied
-to the adjoint resolvent is a two-dimensional family spanned by u+ and u-
-as well; together they build the correction kernel that turns one
-realization's Green's function into another's.
+proportional to ~u+ and ~u-, and the adjoint of the conjugated trace
+applied to the adjoint resolvent is a two-dimensional family spanned by
+~u+ and ~u- as well; together they build the correction kernel that turns
+one realization's Green's function into another's.
 """
 
 from __future__ import annotations
@@ -69,38 +68,6 @@ def gamma_resolvent_rows(V: PotentialSpec, R: float, pair: AnglePair,
         return sR * view.over_delta(-1, xp).u
 
     return k1, k2
-
-
-def gamma_row_coefficients(V: PotentialSpec, R: float, pair: AnglePair,
-                           primed: AnglePair, z: complex,
-                           tol: float = DEFAULT_TOL):
-    """The bracketed angle factors of the trace-row kernels, in raw form and
-    in the two sine-extracted case forms (where defined), for cross-checks.
-
-    Returns dict with keys 'raw0', 'rawR' and lists 'forms0', 'formsR' of
-    values of c0/sin(theta0'-theta0) resp. cR/sin(thetaR'-thetaR); at
-    theta_0 not in {0, pi} the first form is -u-(0)/sin(theta0), at
-    theta_0 not in {pi/2, 3pi/2} the second is u-'(0)/cos(theta0); for the
-    right endpoint -u+(R)/sin(thetaR) and -u+'(R)/cos(thetaR).
-    """
-    view = green_evaluator(V, R, pair, z, tol)
-    um0 = view.endpoints.uminus_at_0
-    upR = view.endpoints.uplus_at_R
-    # c0 = cos(theta0') u-(0) + sin(theta0') u-'(0),
-    # cR = cos(thetaR') u+(R) - sin(thetaR') u+'(R)
-    c0, cR = trace_gamma(primed, (um0.u, um0.du, upR.u, upR.du))
-    forms0, formsR = [], []
-    s0, c0a = cmath.sin(pair.theta0), cmath.cos(pair.theta0)
-    sR, cRa = cmath.sin(pair.thetaR), cmath.cos(pair.thetaR)
-    if abs(s0) > 1e-9:
-        forms0.append(-um0.u / s0)
-    if abs(c0a) > 1e-9:
-        forms0.append(um0.du / c0a)
-    if abs(sR) > 1e-9:
-        formsR.append(-upR.u / sR)
-    if abs(cRa) > 1e-9:
-        formsR.append(-upR.du / cRa)
-    return {"raw0": c0, "rawR": cR, "forms0": forms0, "formsR": formsR}
 
 
 def adjoint_trace_kernel(V: PotentialSpec, R: float, pair: AnglePair,

@@ -109,8 +109,8 @@ def eig_selfadjoint(V: PotentialSpec, R: float, pair: AnglePair, n_max: int,
     isolated by its index in the oscillation count N(E)."""
     if not (V.is_real and pair.is_real):
         raise DomainError("eig_selfadjoint needs real V and real angles")
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
+    if not hasattr(n_max, "__index__") or n_max < 1:  # an int, as range takes
+        raise DomainError("n_max must be a positive integer")
     _check_R(V, R)
     _check_tol(tol)
     # N(E) and the Illinois pass only need signs: run them loose
@@ -261,21 +261,30 @@ def _count_box(f, box, R: float, pair: AnglePair, scan_tol: float) -> int:
     return int(n)
 
 
+def _check_rect(rect) -> tuple:
+    """rect = (re0, re1, im0, im1) as floats, or DomainError unless its
+    corners are finite with re0 < re1 and im0 < im1 (NaN fails too)."""
+    re0, re1, im0, im1 = (float(v) for v in rect)
+    if not (-math.inf < re0 < re1 < math.inf
+            and -math.inf < im0 < im1 < math.inf):
+        raise DomainError("rectangle must be finite with positive extent")
+    return re0, re1, im0, im1
+
+
 def count_zeros_rectangle(V: PotentialSpec, R: float, pair: AnglePair, rect,
                           tol: float = DEFAULT_TOL) -> int:
     """Argument-principle zero count in rect = (re0, re1, im0, im1)."""
+    rect = _check_rect(rect)
     _check_R(V, R)
     _check_tol(tol)
     scan = max(tol, 1e-6)
-    return _count_box(_delta_fn(V, pair, scan), tuple(rect), R, pair, scan)
+    return _count_box(_delta_fn(V, pair, scan), rect, R, pair, scan)
 
 
 def eig_rectangle(V: PotentialSpec, R: float, pair: AnglePair, rect,
                   tol: float = DEFAULT_TOL) -> SpectrumResult:
     """All eigenvalues inside a complex rectangle (re0, re1, im0, im1)."""
-    re0, re1, im0, im1 = (float(v) for v in rect)
-    if not (re0 < re1 and im0 < im1):
-        raise DomainError("rectangle must have positive extent")
+    re0, re1, im0, im1 = _check_rect(rect)
     _check_R(V, R)
     _check_tol(tol)
     scan_tol = max(tol, 1e-6)

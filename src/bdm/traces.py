@@ -17,22 +17,28 @@ import math
 from dataclasses import dataclass
 
 from ._lazy import np
+from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
+MAX_ANGLE_IM = 350.0
 
 
 def normalize_strip(theta: complex) -> complex:
-    """Shift theta by a multiple of 2*pi so 0 <= Re(theta) < 2*pi."""
+    """Shift theta by a multiple of 2*pi so 0 <= Re(theta) < 2*pi.  A
+    DomainError unless theta is finite with |Im(theta)| <= MAX_ANGLE_IM:
+    past it a product of two of the angles' trig factors leaves double
+    range, and tan(theta) = +-i to 8e-18 from |Im(theta)| = 20 on."""
     theta = complex(theta)
-    k = math.floor(theta.real / TWO_PI)
-    out = theta - k * TWO_PI
-    # the division can underflow (denormal Re) or the subtraction can round
-    # onto 2*pi; wrap until the representative lands in [0, 2*pi)
-    while out.real < 0.0:
-        out += TWO_PI
-    while out.real >= TWO_PI:
-        out -= TWO_PI
-    return out
+    if not (abs(theta.imag) <= MAX_ANGLE_IM and abs(theta.real) < math.inf):
+        raise DomainError(f"angle {theta} must be finite with |Im| <= "
+                          f"{MAX_ANGLE_IM:g}")
+    # fmod is exact; the shift into [0, 2*pi) can round onto 2*pi
+    re = math.fmod(theta.real, TWO_PI)
+    if re < 0.0:
+        re += TWO_PI
+    if re >= TWO_PI:
+        re -= TWO_PI
+    return complex(re, theta.imag)
 
 
 @dataclass(frozen=True)

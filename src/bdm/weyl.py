@@ -22,10 +22,11 @@ from dataclasses import dataclass
 from ._lazy import np
 from .bdmap import bdmap_robin, m_functions_from_fs
 from .errors import DegenerateError, DomainError, PoleHitError
-from .odecore import DEFAULT_TOL, _check_R, _propagate_vec, solution
+from .odecore import (DEFAULT_TOL, _check_R, _propagate_vec, char_det,
+                      solution)
 from .potential import PotentialSpec
 from .resolvent import green_evaluator
-from .traces import AnglePair
+from .traces import AnglePair, normalize_strip
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,7 @@ def wt_m(V: PotentialSpec, R: float, z: complex, x0: float, xi: complex,
     _check_R(V, R)
     if not (0.0 <= x0 <= R and 0.0 <= y0 <= R):
         raise DomainError("reference points must lie in [0, R]")
+    xi, eta = normalize_strip(xi), normalize_strip(eta)
     cxi, sxi = cmath.cos(xi), cmath.sin(xi)
     # columns (theta, theta') = (cos xi, sin xi), (phi, phi') = (-sin xi, cos xi)
     # a ratio of two combinations: the log scale cancels
@@ -71,11 +73,10 @@ def interior_m(V: PotentialSpec, R: float, z: complex, x0: float, sign: int,
     the logarithmic derivative u±'/u± rotated by alpha."""
     if not 0.0 < x0 < R:
         raise DomainError("x0 must be interior to (0, R)")
-    if isinstance(alpha, complex) and alpha.imag != 0.0:
+    alpha = complex(alpha)
+    if alpha.imag != 0.0 or not 0.0 <= alpha.real < math.pi:
         raise DomainError("alpha must be real in [0, pi)")
-    alpha = float(alpha)
-    if not 0.0 <= alpha < math.pi:
-        raise DomainError("alpha must lie in [0, pi)")
+    alpha = alpha.real
     view = green_evaluator(V, R, pair, z, tol)
     # scale-free: a common factor of (u, u') cancels, so the mantissas do
     d, _ = view.scaled(1 if sign > 0 else -1, x0)
@@ -95,7 +96,7 @@ def wt_matrix(V: PotentialSpec, R: float, z: complex, x0: float,
         raise DegenerateError("m- = m+ at this (z, x0): M_alpha undefined")
     half = 0.5 * (mm + mp)
     mat = np.array([[1.0, half], [half, mm * mp]], dtype=complex) / d
-    return WTMatrix(mat, alpha, x0, z)
+    return WTMatrix(mat, complex(alpha).real, x0, z)
 
 
 def _wedge_limits(gk, x0: float, h: float):
@@ -145,41 +146,29 @@ def green_link_check(V: PotentialSpec, R: float, pair: AnglePair, z: complex,
     """Residuals of the Robin-map/Green-function identities.
 
     Returns a dict name -> residual; identities whose angle hypotheses fail
-    (sin or cos of an angle vanishing) are skipped.
+    (sin of an angle vanishing) are skipped.
     """
     lam = bdmap_robin(V, R, pair, z, tol).matrix
     mp, mm = m_functions_from_fs(solution(V, z, tol).fs, R, pair)
     gk = green_evaluator(V, R, pair, z, tol)
-    be = gk.endpoints
     g00 = gk(0.0, 0.0)
     gRR = gk(R, R)
     t0, tR = pair.theta0, pair.thetaR
     s0, c0 = cmath.sin(t0), cmath.cos(t0)
     sR, cR = cmath.sin(tR), cmath.cos(tR)
     out = {}
+    # the lambda12 links are stated undivided, so they hold where
+    # Delta(theta0, 0) or Delta(0, thetaR) vanishes as well
     if abs(s0) > 1e-9:
         out["lambda11_from_green"] = abs(lam[0, 0] - (g00 + s0 * c0) / (s0 * s0))
         out["g00_from_mplus"] = abs(g00 - s0 * (-c0 + s0 * mp))
+        dR = char_det(V, z, 0.0, tR, tol)
+        out["lambda12_from_g00"] = abs(s0 * dR * lam[0, 1] + g00)
     if abs(sR) > 1e-9:
         out["lambda22_from_green"] = abs(lam[1, 1] - (gRR + sR * cR) / (sR * sR))
         out["gRR_from_mminus"] = abs(gRR - sR * (-cR - sR * mm))
-    # off-diagonal links, each in whichever branch its angles allow
-    if abs(sR) > 1e-9:
-        branches = []
-        if abs(c0) > 1e-9:
-            branches.append(-be.uminus_at_0.du / c0)
-        if abs(s0) > 1e-9:
-            branches.append(be.uminus_at_0.u / s0)
-        for i, br in enumerate(branches):
-            out[f"lambda12_from_gRR_{i}"] = abs(lam[0, 1] - gRR * br / sR)
-    if abs(s0) > 1e-9:
-        branches = []
-        if abs(cR) > 1e-9:
-            branches.append(be.uplus_at_R.du / cR)
-        if abs(sR) > 1e-9:
-            branches.append(be.uplus_at_R.u / sR)
-        for i, br in enumerate(branches):
-            out[f"lambda12_from_g00_{i}"] = abs(lam[0, 1] - g00 * br / s0)
+        d0 = char_det(V, z, t0, 0.0, tol)
+        out["lambda12_from_gRR"] = abs(sR * d0 * lam[0, 1] + gRR)
     # Dirichlet corner-derivative limits, step-refined one-sided differences
     # on the x < x' wedge, quadratically extrapolated toward the corner
     if abs(s0) <= 1e-9 and abs(sR) <= 1e-9:

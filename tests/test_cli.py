@@ -246,6 +246,21 @@ def test_domain_error_is_one_line_exit_1(argv, tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("overrides", [
+    {"theta": {"theta0_re": 0.3, "theta0_im": math.nan, "thetaR_re": 0.7}},
+    {"theta": {"theta0_re": 0.3, "theta0_im": 800.0, "thetaR_re": 0.7}},
+    {"potential": {"type": "sampled", "grid": [0.0, math.nan, PI],
+                   "values_re": [0.0, 5.0, 0.0]}},
+], ids=["nan-angle", "huge-imaginary-angle", "nan-grid-point"])
+def test_bad_angle_or_grid_is_one_line_exit_1(overrides, tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", **overrides)
+    out = tmp_path / "o.csv"
+    assert run(["map", "--config", cfg, "--z", "0,1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def _python(*args, cwd=None):
     """Run the interpreter on args with this checkout's src on the path."""
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -13,15 +13,15 @@ from hypothesis import strategies as st
 from bdm import odecore
 from bdm.bdmap import (asymptotic_reference, bdmap_general, bdmap_robin,
                        lambda_from_fs, m_minus, m_plus)
-from bdm.errors import AccuracyError, NearEigenvalueError
-from bdm.odecore import (CauchyData, basis_endpoints, char_det, delta_from_fs,
+from bdm.errors import AccuracyError
+from bdm.odecore import (CauchyData, char_det, delta_from_fs,
                          fundamental_system, propagate)
 from bdm.potential import (PotentialSpec, is_near_eigenvalue,
                            oracle_bdmap_zero, sqrt_upper,
                            transfer_matrix_piecewise)
 from bdm.resolvent import green, green_evaluator, krein_correction
 from bdm.spectrum import count_zeros_rectangle, eig_rectangle, eig_selfadjoint
-from bdm.traces import AnglePair, quad
+from bdm.traces import AnglePair, quad, trace_gamma
 from bdm.weyl import wt_m, wt_matrix
 
 SINH_PI = 11.548739357257748
@@ -93,18 +93,20 @@ def test_char_det_free_dirichlet():
 
 
 def test_char_det_is_uminus_uplus_denominator():
-    # Delta(theta0, 0) and Delta(0, thetaR) normalize u-/u+: their endpoint
-    # data must match the closed fundamental-system combinations
+    # Delta(theta0, 0) and Delta(0, thetaR) are the far-endpoint values
+    # ~u-(R) and ~u+(0) of the unit-start solutions, tabulated from the
+    # sweep and propagated on their own
     V = PotentialSpec.sampled([0.0, 1.1, 2.0], [0.5, -1.0, 0.2], 2.0)
     z = 0.3 + 1.4j
     t0, tR = 0.8, 2.3
     dm = char_det(V, z, t0, 0.0)
     dp = char_det(V, z, 0.0, tR)
-    be = basis_endpoints(V, z, t0, tR)
-    assert be.uminus_at_0.u == pytest.approx(-cmath.sin(t0) / dm, rel=1e-10)
-    assert be.uminus_at_0.du == pytest.approx(cmath.cos(t0) / dm, rel=1e-10)
-    assert be.uplus_at_R.u == pytest.approx(-cmath.sin(tR) / dp, rel=1e-10)
-    assert be.uplus_at_R.du == pytest.approx(-cmath.cos(tR) / dp, rel=1e-10)
+    assert _unit_start(V, z, t0, tR, 2.0)[0].u == pytest.approx(dm, rel=1e-10)
+    assert _unit_start(V, z, t0, tR, 0.0)[1].u == pytest.approx(dp, rel=1e-10)
+    um = propagate(V, z, CauchyData(-cmath.sin(t0), cmath.cos(t0), 0.0), 2.0)
+    up = propagate(V, z, CauchyData(-cmath.sin(tR), -cmath.cos(tR), 2.0), 0.0)
+    assert um.u == pytest.approx(dm, rel=1e-9)
+    assert up.u == pytest.approx(dp, rel=1e-9)
 
 
 def test_char_det_analyticity_mean_value():
@@ -119,100 +121,104 @@ def test_char_det_analyticity_mean_value():
     assert abs(mean - direct) < 1e-6 * max(1.0, abs(direct))
 
 
+def _unit_start(V, z, t0, tR, x):
+    """(~u-(x), ~u+(x)) of the (t0, tR) basis, as CauchyData of values."""
+    view = odecore.solution(V, z, odecore.DEFAULT_TOL).basis(t0, tR)
+    out = []
+    for sign in (-1, 1):
+        m, g = view.scaled(sign, x)
+        out.append(CauchyData(m.u * math.exp(g), m.du * math.exp(g), x))
+    return tuple(out)
+
+
 def test_basis_endpoints_free_dirichlet():
-    # u- = sin(sqrt(z) x)/sin(sqrt(z) R), u+ = sin(sqrt(z)(R-x))/sin(sqrt(z) R)
+    # ~u- = sin(sqrt(z) x)/sqrt(z), ~u+ = sin(sqrt(z)(R-x))/sqrt(z); at
+    # z = -1 these are sinh(x) and sinh(pi - x), and Delta = sinh(pi)
     V = PotentialSpec.zero(math.pi)
     z = -1.0
-    be = basis_endpoints(V, z, 0.0, 0.0)
-    assert be.uminus_at_0.u == pytest.approx(0.0, abs=1e-12)
-    assert be.uminus_at_0.du == pytest.approx(1.0 / SINH_PI, rel=1e-9)
-    assert be.uminus_at_R.du == pytest.approx(math.cosh(math.pi) / SINH_PI, rel=1e-9)
-    assert be.uplus_at_R.u == pytest.approx(0.0, abs=1e-12)
-    assert be.uplus_at_0.du == pytest.approx(-math.cosh(math.pi) / SINH_PI, rel=1e-9)
-
-
-def test_basis_normalizations_exact():
-    V = PotentialSpec.sampled([0.0, 0.9, 2.0], [0.4 + 0.2j, -1.0, 1.3], 2.0)
-    be = basis_endpoints(V, 1.1 + 0.7j, 0.9, 5.1)
-    assert be.uminus_at_R.u == 1.0  # exact by construction
-    assert be.uplus_at_0.u == 1.0
+    for x in (0.0, 1.0, math.pi):
+        um, up = _unit_start(V, z, 0.0, 0.0, x)
+        assert um.u == pytest.approx(math.sinh(x), rel=1e-12, abs=1e-12)
+        assert um.du == pytest.approx(math.cosh(x), rel=1e-12)
+        assert up.u == pytest.approx(math.sinh(math.pi - x), rel=1e-12,
+                                     abs=1e-12)
+        assert up.du == pytest.approx(-math.cosh(math.pi - x), rel=1e-12)
+    # divided by Delta: sinh(x)/sinh(pi) and sinh(pi - x)/sinh(pi)
+    view = odecore.solution(V, z, odecore.DEFAULT_TOL).basis(0.0, 0.0)
+    assert view.over_delta(-1, 0.0).u == pytest.approx(0.0, abs=1e-12)
+    assert view.over_delta(-1, 0.0).du == pytest.approx(1.0 / SINH_PI, rel=1e-9)
+    assert view.over_delta(-1, math.pi).du == pytest.approx(
+        math.cosh(math.pi) / SINH_PI, rel=1e-9)
+    assert view.over_delta(1, math.pi).u == pytest.approx(0.0, abs=1e-12)
+    assert view.over_delta(1, 0.0).du == pytest.approx(
+        -math.cosh(math.pi) / SINH_PI, rel=1e-9)
 
 
 def test_basis_boundary_residuals():
+    # the own-end Robin traces vanish: gamma_theta0 ~u-(0) = 0 and
+    # gamma_thetaR ~u+(R) = 0, with ~u-(0) and ~u+(R) carried back from
+    # the far-endpoint data of the sweep
     V = PotentialSpec.sampled([0.0, 0.9, 2.0], [0.4, -1.0, 1.3], 2.0)
+    z = 1.1 + 0.7j
     for t0, tR in ((0.0, 0.0), (0.9, 5.1), (math.pi / 2, 1.0)):
-        be = basis_endpoints(V, 1.1 + 0.7j, t0, tR)
-        r0 = (cmath.cos(t0) * be.uminus_at_0.u
-              + cmath.sin(t0) * be.uminus_at_0.du)
-        rR = (cmath.cos(tR) * be.uplus_at_R.u
-              - cmath.sin(tR) * be.uplus_at_R.du)
+        umR = _unit_start(V, z, t0, tR, 2.0)[0]
+        up0 = _unit_start(V, z, t0, tR, 0.0)[1]
+        um0, upR = propagate(V, z, umR, 0.0), propagate(V, z, up0, 2.0)
+        r0, rR = trace_gamma(AnglePair(t0, tR), (um0.u, um0.du, upR.u, upR.du))
         assert abs(r0) < 1e-10
         assert abs(rR) < 1e-10
 
 
-def test_basis_near_auxiliary_eigenvalue_raises():
-    # z = 1 is a Dirichlet eigenvalue of the free problem: the u-
-    # normalization for theta0 = 0 fails there, and the error says which
-    # auxiliary operator was hit
-    V = PotentialSpec.zero(math.pi)
-    with pytest.raises(NearEigenvalueError) as err:
-        basis_endpoints(V, 1.0, 0.0, 2.2)
-    assert "theta0" in str(err.value)
-
-
-def _wronskians(be):
-    """W(u+, u-) = u+ u-' - u+' u- from the basis data at x = 0 and x = R."""
-    ends = ((be.uplus_at_0, be.uminus_at_0), (be.uplus_at_R, be.uminus_at_R))
-    return tuple(p.u * m.du - p.du * m.u for p, m in ends)
-
-
-def _wronskian_from_delta(V, z, t0, tR):
-    """W(u+, u-) = Delta(t0, tR) / (Delta(t0, 0) Delta(0, tR))."""
-    return char_det(V, z, t0, tR) / (char_det(V, z, t0, 0.0)
-                                     * char_det(V, z, 0.0, tR))
+def _wronskians(V, z, t0, tR, xs=()):
+    """W(~u+, ~u-) = ~u+ ~u-' - ~u+' ~u- at x = 0, x = R and each of xs."""
+    out = []
+    for x in (0.0, V.R) + tuple(xs):
+        um, up = _unit_start(V, z, t0, tR, x)
+        out.append(up.u * um.du - up.du * um.u)
+    return out
 
 
 def test_wronskian_frozen_free_dirichlet():
     V = PotentialSpec.zero(math.pi)
-    for w in _wronskians(basis_endpoints(V, -1.0, 0.0, 0.0)):
-        assert w == pytest.approx(1.0 / SINH_PI, rel=1e-9)
-    assert _wronskian_from_delta(V, -1.0, 0.0, 0.0) == pytest.approx(
-        1.0 / SINH_PI, rel=1e-9)
+    ws = _wronskians(V, -1.0, 0.0, 0.0, (0.4, 1.7, 2.9))
+    for w in ws[:2]:
+        assert w == pytest.approx(SINH_PI, rel=1e-9)
+    for w in ws[2:]:
+        assert w == pytest.approx(SINH_PI, rel=1e-8)
+    assert char_det(V, -1.0, 0.0, 0.0) == pytest.approx(SINH_PI, rel=1e-9)
 
 
 def test_wronskian_small_near_eigenvalue():
-    # W vanishes on the spectrum of the Robin pair under test (the pair must
-    # be generic: for theta0 = 0 the u+ normalization itself degenerates on
-    # the spectrum and W diverges instead)
+    # W(~u+, ~u-) = Delta vanishes on the spectrum of the Robin pair under
+    # test
     V = PotentialSpec.zero(math.pi)
     pair = AnglePair(0.7, 1.1)
     lam0 = eig_selfadjoint(V, math.pi, pair, 1).eigenvalues[0].real
     z = lam0 + 1e-8
-    expect = _wronskian_from_delta(V, z, pair.theta0, pair.thetaR)
+    expect = char_det(V, z, pair.theta0, pair.thetaR)
     assert abs(expect) < 1e-6
-    for w in _wronskians(basis_endpoints(V, z, pair.theta0, pair.thetaR)):
-        assert abs(w) < 1e-6
+    for w in _wronskians(V, z, pair.theta0, pair.thetaR, (0.8, 2.3)):
         assert w == pytest.approx(expect, rel=1e-6)
 
 
 def test_wronskian_factorizations():
-    # both boundary factorizations of W agree with the Delta ratio for
-    # random Robin angles
+    # the far-end Robin traces are Delta: gamma_theta0 ~u+(0) =
+    # gamma_thetaR ~u-(R) = Delta(theta0, thetaR) = W(~u+, ~u-) at every x,
+    # for random Robin angles
     V = PotentialSpec.sampled([0.0, 0.8, 2.0], [0.4, -0.9 + 0.3j, 1.0], 2.0)
     rng = np.random.default_rng(4)
     for _ in range(8):
         t0, tR = rng.uniform(0.1, 6.1, 2)
         z = complex(rng.uniform(-3, 3), rng.uniform(0.5, 2.5))
-        be = basis_endpoints(V, z, t0, tR)
-        w = _wronskian_from_delta(V, z, t0, tR)
-        left = ((-cmath.sin(t0) * be.uminus_at_0.u
-                 + cmath.cos(t0) * be.uminus_at_0.du)
-                * (cmath.cos(t0) + cmath.sin(t0) * be.uplus_at_0.du))
-        right = ((cmath.cos(tR) - cmath.sin(tR) * be.uminus_at_R.du)
-                 * (-cmath.sin(tR) * be.uplus_at_R.u
-                    - cmath.cos(tR) * be.uplus_at_R.du))
-        for got in (left, right) + _wronskians(be):
+        w = char_det(V, z, t0, tR)
+        up0 = _unit_start(V, z, t0, tR, 0.0)[1]
+        umR = _unit_start(V, z, t0, tR, 2.0)[0]
+        g0, gR = trace_gamma(AnglePair(t0, tR), (up0.u, up0.du, umR.u, umR.du))
+        ws = _wronskians(V, z, t0, tR, rng.uniform(0.05, 1.95, 3))
+        for got in [g0, gR] + ws[:2]:
             assert got == pytest.approx(w, rel=1e-9)
+        for got in ws[2:]:
+            assert got == pytest.approx(w, rel=1e-8)
 
 
 def test_wronskian_constancy_two_solutions():

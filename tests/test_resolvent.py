@@ -11,15 +11,14 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from bdm.bdmap import bdmap_general
-from bdm.errors import EigenvalueHitError, NearEigenvalueError
-from bdm.odecore import basis_endpoints
+from bdm.errors import EigenvalueHitError
 from bdm.potential import PotentialSpec, oracle_green_zero
-from bdm.resolvent import (adjoint_trace_kernel, gamma_resolvent_rows,
-                           gamma_row_coefficients, green, green_evaluator,
-                           krein_correction, krein_kernel, lambda_times_s)
+from bdm.resolvent import (adjoint_trace_kernel, gamma_resolvent_rows, green,
+                           green_evaluator, krein_correction, krein_kernel,
+                           lambda_times_s)
 from bdm.spectrum import eig_selfadjoint
 from bdm.traces import AnglePair, AngleQuad, diag_sin, quad, trace_gamma
-from bdm.weyl import wt_matrix
+from bdm.weyl import green_link_check, wt_matrix
 
 R = math.pi
 VFREE = PotentialSpec.zero(R)
@@ -136,23 +135,8 @@ def test_gamma_rows_scale_linearly_in_angle_difference():
     assert vals[1] == pytest.approx(vals[0] / 10.0, rel=1e-2)
 
 
-def test_gamma_row_coefficient_forms_crosscheck():
-    # the raw bracket equals sin(diff) times each case form, including the
-    # sign-corrected cos branch at the right endpoint
-    base, primed = AnglePair(0.9, 0.4), AnglePair(2.0, 5.0)
-    z = 0.7 + 1.3j
-    co = gamma_row_coefficients(VCPLX, R, base, primed, z)
-    d0 = primed.theta0 - base.theta0
-    dR = primed.thetaR - base.thetaR
-    assert len(co["forms0"]) == 2 and len(co["formsR"]) == 2
-    for f in co["forms0"]:
-        assert co["raw0"] == pytest.approx(cmath.sin(d0) * f, rel=1e-10)
-    for f in co["formsR"]:
-        assert co["rawR"] == pytest.approx(cmath.sin(dR) * f, rel=1e-10)
-
-
 def test_gamma_rows_quadrature_check():
-    # applying (k1, k2) to f = u+ reproduces the primed trace of the
+    # applying (k1, k2) to f = ~u+/Delta reproduces the primed trace of the
     # quadrature-applied resolvent (Gauss-Legendre, 64 nodes)
     base, primed = AnglePair(0.9, 0.4), AnglePair(2.0, 5.0)
     z = 0.7 + 1.3j
@@ -160,7 +144,7 @@ def test_gamma_rows_quadrature_check():
     xs = 0.5 * R * (nodes + 1.0)
     ws = 0.5 * R * weights
     gk = green_evaluator(VREAL, R, base, z)
-    fvals = [gk.uplus(float(x)).u for x in xs]
+    fvals = [gk.over_delta(1, float(x)).u for x in xs]
     k1, k2 = gamma_resolvent_rows(VREAL, R, base, primed, z)
     lhs = (sum(w * k1(float(x)) * f for x, w, f in zip(xs, ws, fvals)),
            sum(w * k2(float(x)) * f for x, w, f in zip(xs, ws, fvals)))
@@ -295,7 +279,7 @@ def test_on_spectrum_is_eigenvalue_hit(case, call):
 
 def test_auxiliary_eigenvalue_free_matches_closed_forms():
     # mu (about 1.22064) is an eigenvalue of H_{0.3,0} only: G, the Krein
-    # correction and M_alpha exist there, the u-/u+ normalization does not
+    # correction, M_alpha and the Robin-map/Green links all hold there
     pair, primed = AnglePair(0.3, 0.7), AnglePair(1.5, 2.4)
     mu = eig_selfadjoint(VFREE, R, AnglePair(0.3, 0.0), 2).eigenvalues[1].real
 
@@ -311,8 +295,7 @@ def test_auxiliary_eigenvalue_free_matches_closed_forms():
         # the (1,1) entry of M_0(z, x0) is G(z, x0, x0)
         m = wt_matrix(VFREE, R, mu, x0, pair).matrix
         assert m[0, 0] == pytest.approx(g(pair, x0, x0), rel=1e-12)
-    with pytest.raises(NearEigenvalueError):
-        basis_endpoints(VFREE, mu, pair.theta0, pair.thetaR)
+    assert all(v < 1e-8 for v in green_link_check(VFREE, R, pair, mu).values())
 
 
 def _oracles():
@@ -348,5 +331,4 @@ def test_auxiliary_eigenvalue_sampled_matches_airy_oracle():
         expect = oracles.wt_matrix_ref(*ref.log_derivs(x0), 0.4)
         got = wt_matrix(VREAL, R, mu, x0, pair, 0.4).matrix
         assert np.max(np.abs(got - expect)) <= 1e-8 * np.max(np.abs(expect))
-    with pytest.raises(NearEigenvalueError):
-        basis_endpoints(VREAL, mu, pair.theta0, pair.thetaR)
+    assert all(v < 1e-8 for v in green_link_check(VREAL, R, pair, mu).values())

@@ -58,7 +58,7 @@ def test_interior_m_alpha_zero_is_log_derivative():
     z = 1.3 + 0.8j
     pair = AnglePair(0.7, 1.9)
     x0 = 2.0
-    d = green_evaluator(VREAL, R, pair, z).uplus(x0)
+    d = green_evaluator(VREAL, R, pair, z).over_delta(1, x0)
     assert interior_m(VREAL, R, z, x0, +1, pair) == pytest.approx(
         d.du / d.u, rel=1e-12)
 
