@@ -27,27 +27,33 @@ from .errors import AccuracyError, DomainError
 from .odecore import (DEFAULT_TOL, FundamentalEval, _check_R, delta_from_fs,
                       delta_off_spectrum, solution)
 from .potential import PotentialSpec, sqrt_upper
-from .traces import AnglePair, AngleQuad, angles_mod_pi_zero, diag_sin
+from .traces import AnglePair, AngleQuad, angles_mod_pi_zero
 
 
 @dataclass(frozen=True)
 class BoundaryDataMap:
-    matrix: np.ndarray
+    """Lambda at z: entries ((l11, l12), (l21, l22)) as Python complex
+    numbers, and matrix, the same as a new 2x2 array on each access."""
+
+    entries: tuple
     z: complex
     quad: AngleQuad
 
+    @property
+    def matrix(self) -> np.ndarray:
+        return np.array(self.entries, dtype=complex)
+
 
 def lambda_from_fs(fs: FundamentalEval, R: float, quad: AngleQuad,
-                   tol: float = 0.0) -> np.ndarray:
+                   tol: float = 0.0) -> tuple:
+    """The entries ((l11, l12), (l21, l22)) of Lambda from one sweep."""
     t0, tR = quad.base.theta0, quad.base.thetaR
     t0p, tRp = quad.primed.theta0, quad.primed.thetaR
     den = delta_off_spectrum(fs, R, t0, tR, tol)
     # the Delta ratios are scale-free; sin(...)/Delta carries e^-log_scale
     unit = math.exp(-fs.log_scale)
-    return np.array(
-        [[delta_from_fs(fs, t0p, tR) / den, cmath.sin(t0p - t0) / den * unit],
-         [cmath.sin(tRp - tR) / den * unit, delta_from_fs(fs, t0, tRp) / den]],
-        dtype=complex)
+    return ((delta_from_fs(fs, t0p, tR) / den, cmath.sin(t0p - t0) / den * unit),
+            (cmath.sin(tRp - tR) / den * unit, delta_from_fs(fs, t0, tRp) / den))
 
 
 def bdmap_general(V: PotentialSpec, R: float, quad: AngleQuad, z: complex,
@@ -124,13 +130,9 @@ def asymptotic_reference(pair: AnglePair, z: complex, R: float) -> np.ndarray:
     return np.array([[d1, off], [off, d2]], dtype=complex)
 
 
-def herglotz_imag(V: PotentialSpec, R: float, quad: AngleQuad, z: complex,
-                  tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Im(Lambda^{theta'}_{theta}(z) S_{theta'-theta}) as a Hermitian matrix.
-
-    Positive definite for real V, real admissible angles and Im z > 0;
-    the caller asserts definiteness.
-    """
+def _herglotz(V: PotentialSpec, R: float, quad: AngleQuad, z: complex,
+              tol: float) -> tuple:
+    """herglotz_imag as a 2x2 tuple of Python complex numbers."""
     if not V.is_real:
         raise DomainError("the Herglotz property needs a real potential")
     if not quad.is_real:
@@ -140,25 +142,62 @@ def herglotz_imag(V: PotentialSpec, R: float, quad: AngleQuad, z: complex,
         raise DomainError("angle differences must be nonzero mod pi")
     if z.imag <= 0.0:
         raise DomainError("z must lie in the open upper half-plane")
-    M = bdmap_general(V, R, quad, z, tol).matrix @ diag_sin(d0, dR)
-    return (M - M.conj().T) / 2j
+    s = (cmath.sin(d0), cmath.sin(dR))
+    m = [[l * sk for l, sk in zip(row, s)]
+         for row in bdmap_general(V, R, quad, z, tol).entries]
+    return tuple(tuple((m[j][k] - m[k][j].conjugate()) / 2j for k in range(2))
+                 for j in range(2))
+
+
+def herglotz_imag(V: PotentialSpec, R: float, quad: AngleQuad, z: complex,
+                  tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Im(Lambda^{theta'}_{theta}(z) S_{theta'-theta}) as a Hermitian matrix.
+
+    Positive definite for real V, real admissible angles and Im z > 0;
+    the caller asserts definiteness.
+    """
+    return np.array(_herglotz(V, R, quad, z, tol), dtype=complex)
 
 
 def _neville_to_zero(eps, vals):
-    """Polynomial extrapolation of vals(eps) to eps = 0 (entrywise arrays).
+    """Polynomial extrapolation of vals(eps) to eps = 0, entrywise over 2x2
+    tuples.
 
-    Returns (limit, error_estimate) where the estimate is the last
-    correction's magnitude.
+    Returns (limit, error_estimate) where the estimate is the largest
+    magnitude of the last correction.
     """
-    t = [np.asarray(v, dtype=complex) for v in vals]
-    n = len(t)
-    tops = [t[0]]
-    for m in range(1, n):
-        t = [(eps[i] * t[i + 1] - eps[i + m] * t[i]) / (eps[i] - eps[i + m])
-             for i in range(n - m)]
-        tops.append(t[0])
-    est = float(np.max(np.abs(tops[-1] - tops[-2])))
-    return tops[-1], est
+    n = len(eps)
+
+    def extrapolate(t):
+        tops = [t[0]]
+        for m in range(1, n):
+            t = [(eps[i] * t[i + 1] - eps[i + m] * t[i]) / (eps[i] - eps[i + m])
+                 for i in range(n - m)]
+            tops.append(t[0])
+        return tops[-1], abs(tops[-1] - tops[-2])
+
+    limits = [[extrapolate([v[j][k] for v in vals]) for k in range(2)]
+              for j in range(2)]
+    return (tuple(tuple(lim for lim, _ in row) for row in limits),
+            max(est for row in limits for _, est in row))
+
+
+def _point_mass(V: PotentialSpec, R: float, quad: AngleQuad, lam: float,
+                tol: float) -> tuple:
+    """measure_point_mass as a 2x2 tuple of Python complex numbers."""
+    eps = (1e-3, 1e-4, 1e-5)
+    vals = [[[e * h for h in row]
+             for row in _herglotz(V, R, quad, lam + 1j * e, tol)]
+            for e in eps]
+    jump, est = _neville_to_zero(eps, vals)
+    scale = max(1.0, max(abs(v) for row in jump for v in row))
+    if est > 1e-3 * scale:
+        raise AccuracyError(
+            f"point-mass extrapolation at lambda = {lam} did not settle "
+            f"(last correction {est:.3e}); is the eigenvalue isolated?")
+    # exact jump is Hermitian PSD; symmetrize away the O(eps) residue
+    return tuple(tuple((jump[j][k] + jump[k][j].conjugate()) / 2.0
+                       for k in range(2)) for j in range(2))
 
 
 def measure_point_mass(V: PotentialSpec, R: float, quad: AngleQuad,
@@ -170,13 +209,4 @@ def measure_point_mass(V: PotentialSpec, R: float, quad: AngleQuad,
     polynomial extrapolation over eps = 1e-3, 1e-4, 1e-5 (the literal double
     limit of the Stieltjes inversion is not implementable).
     """
-    eps = (1e-3, 1e-4, 1e-5)
-    vals = [e * herglotz_imag(V, R, quad, lam + 1j * e, tol) for e in eps]
-    jump, est = _neville_to_zero(eps, vals)
-    scale = max(1.0, float(np.max(np.abs(jump))))
-    if est > 1e-3 * scale:
-        raise AccuracyError(
-            f"point-mass extrapolation at lambda = {lam} did not settle "
-            f"(last correction {est:.3e}); is the eigenvalue isolated?")
-    # exact jump is Hermitian PSD; symmetrize away the O(eps) residue
-    return (jump + jump.conj().T) / 2.0
+    return np.array(_point_mass(V, R, quad, lam, tol), dtype=complex)

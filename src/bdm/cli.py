@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import __version__
-from .bdmap import bdmap_general, measure_point_mass
+from .bdmap import _point_mass, bdmap_general
 from .errors import ConfigError, DomainError, NumericalError
 from .odecore import DEFAULT_TOL
 from .potential import PotentialSpec
@@ -147,12 +147,9 @@ def write_csv(path: str, header: list, rows) -> None:
             fh.write(text)
 
 
-def _mat_row(prefix_vals) -> list:
-    out = []
-    for v in prefix_vals:
-        v = complex(v)
-        out.extend((v.real, v.imag))
-    return out
+def _mat_row(entries) -> list:
+    """The 2x2 entries, row by row, as (re, im) column pairs."""
+    return [part for row in entries for v in row for part in (v.real, v.imag)]
 
 
 def cmd_eig(cfg, args) -> int:
@@ -168,9 +165,8 @@ def cmd_map(cfg, args) -> int:
     rows = []
     quad = AngleQuad(cfg.pair, cfg.primed or cfg.pair.robin_primed())
     for z in z_grid_from_config(cfg.raw, args.z):
-        lam = bdmap_general(cfg.V, cfg.R, quad, z, cfg.tol).matrix
-        rows.append([z.real, z.imag]
-                    + _mat_row([lam[0, 0], lam[0, 1], lam[1, 0], lam[1, 1]]))
+        lam = bdmap_general(cfg.V, cfg.R, quad, z, cfg.tol).entries
+        rows.append([z.real, z.imag] + _mat_row(lam))
     header = (["z_re", "z_im"] + _complex_cols("l11") + _complex_cols("l12")
               + _complex_cols("l21") + _complex_cols("l22"))
     write_csv(args.out, header, rows)
@@ -200,10 +196,8 @@ def cmd_measure(cfg, args) -> int:
     spec = eig_selfadjoint(V, R, pair, args.n, tol)
     rows = []
     for lam in spec.eigenvalues:
-        sig = measure_point_mass(V, R, AngleQuad(pair, primed), lam.real,
-                                 tol=tol)
-        rows.append([lam.real] + _mat_row([sig[0, 0], sig[0, 1],
-                                           sig[1, 0], sig[1, 1]]))
+        sig = _point_mass(V, R, AngleQuad(pair, primed), lam.real, tol)
+        rows.append([lam.real] + _mat_row(sig))
     header = (["lambda"] + _complex_cols("sigma11") + _complex_cols("sigma12")
               + _complex_cols("sigma21") + _complex_cols("sigma22"))
     write_csv(args.out, header, rows)
@@ -218,9 +212,8 @@ def cmd_wtm(cfg, args) -> int:
                       else cfg.raw.get("alpha", 0.0))
     rows = []
     for z in z_grid_from_config(cfg.raw, args.z):
-        M = wt_matrix(cfg.V, cfg.R, z, x0, cfg.pair, alpha, cfg.tol).matrix
-        rows.append([z.real, z.imag]
-                    + _mat_row([M[0, 0], M[0, 1], M[1, 0], M[1, 1]]))
+        M = wt_matrix(cfg.V, cfg.R, z, x0, cfg.pair, alpha, cfg.tol).entries
+        rows.append([z.real, z.imag] + _mat_row(M))
     header = (["z_re", "z_im"] + _complex_cols("m11") + _complex_cols("m12")
               + _complex_cols("m21") + _complex_cols("m22"))
     write_csv(args.out, header, rows)

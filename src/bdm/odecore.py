@@ -194,9 +194,11 @@ def _check_z(z: complex) -> None:
 
 
 def _propagate_vec(V: PotentialSpec, z: complex, x0: float, y0: tuple,
-                   x1: float, tol: float) -> tuple:
+                   x1: float, tol: float, knots: dict | None = None) -> tuple:
     """(y, log_scale): the (value, derivative) pairs of y0 at x0 carried to
-    x1, as mantissas y times e^log_scale, one piece of V.span at a time."""
+    x1, as mantissas y times e^log_scale, one piece of V.span at a time.
+    knots, if given, receives the same (y, log_scale) at the end of every
+    piece: each knot crossed, and x1."""
     _check_tol(tol)
     _check_z(z)
     y, log_scale = list(y0), 0.0
@@ -209,17 +211,19 @@ def _propagate_vec(V: PotentialSpec, z: complex, x0: float, y0: tuple,
                 u, du = y[i], y[i + 1]
                 y[i], y[i + 1] = c * u + sn * du, ks * u + c * du
             log_scale += beta
-            continue
-        w = b - a
+        else:
+            w = b - a
 
-        def qfun(x):  # V - z on the linear piece
-            t = (x - a) / w
-            return va * (1.0 - t) + vb * t - z
+            def qfun(x):  # V - z on the linear piece
+                t = (x - a) / w
+                return va * (1.0 - t) + vb * t - z
 
-        y = list(_rk_segment(qfun, s, y, e, tol))
-        if not all(map(cmath.isfinite, y)):
-            raise AccuracyError(f"the solution state is not finite at "
-                                f"x = {e} (z = {z})", z=z, x=e)
+            y = list(_rk_segment(qfun, s, y, e, tol))
+            if not all(map(cmath.isfinite, y)):
+                raise AccuracyError(f"the solution state is not finite at "
+                                    f"x = {e} (z = {z})", z=z, x=e)
+        if knots is not None:
+            knots[e] = (tuple(y), log_scale)
     return tuple(y), log_scale
 
 
@@ -228,6 +232,9 @@ def propagate(V: PotentialSpec, z: complex, data: CauchyData, to_x: float,
     """Propagate solution data to to_x (left or right), local error ~ tol."""
     if not (0.0 <= data.x <= V.R and 0.0 <= to_x <= V.R):
         raise DomainError("propagation endpoints must lie in [0, R]")
+    if not (cmath.isfinite(data.u) and cmath.isfinite(data.du)):
+        raise DomainError(f"start data (u, u') = ({data.u}, {data.du}) "
+                          f"must be finite")
     (u, du), log_scale = _propagate_vec(V, z, data.x, (data.u, data.du),
                                         to_x, tol)
     return CauchyData(unscale(u, log_scale, z, to_x),
@@ -314,9 +321,12 @@ class BasisView:
     A new x is propagated from the nearest tabulated point on the side the
     solution grows from (rightward for ~u-, leftward for ~u+): for
     Im sqrt(z) > 0 the complementary mode then decays and the relative
-    step control holds.  W(~u+, ~u-) = Delta(theta0, thetaR), so every
-    value read here, with the scales netted before they are applied, needs
-    z off the spectrum of H_{theta0,thetaR} only.
+    step control holds.  Every knot of V that a propagation crosses is
+    tabulated too, so a new x repeats earlier propagation over part of one
+    piece at most, in whatever order the points come.  W(~u+, ~u-) =
+    Delta(theta0, thetaR), so every value read here, with the scales netted
+    before they are applied, needs z off the spectrum of H_{theta0,thetaR}
+    only.
     """
 
     def __init__(self, sol: Solution, theta0: complex, thetaR: complex):
@@ -356,8 +366,13 @@ class BasisView:
             start = (max(k for k in table if k <= x) if sign < 0
                      else min(k for k in table if k >= x))
             y, log_scale = table[start]
-            y, step = _propagate_vec(sol.V, sol.z, start, y, x, sol.tol)
-            hit = table[x] = (y, log_scale + step)
+            # each crossed point's scale is start's plus the step summed
+            # from start, the same rounding as one propagation straight to it
+            crossed = {}
+            _propagate_vec(sol.V, sol.z, start, y, x, sol.tol, crossed)
+            for k, (ky, step) in crossed.items():
+                table[k] = (ky, log_scale + step)
+            hit = table[x]
         (u, du), log_scale = hit
         return CauchyData(u, du, x), log_scale
 

@@ -132,9 +132,9 @@ def krein_kernel(V: PotentialSpec, R: float, pair: AnglePair,
         return None
     view = green_evaluator(V, R, pair, z, tol)
     view.delta  # the pair's spectrum test comes before the primed map's
-    lam_inv = bdmap_general(V, R, AngleQuad(primed, pair), z, tol).matrix
+    lam_inv = bdmap_general(V, R, AngleQuad(primed, pair), z, tol).entries
     s0, sR = (cmath.sin(d) for d in AngleQuad(pair, primed).diffs)
-    coupling = tuple((a * s0, b * sR) for a, b in lam_inv.tolist())
+    coupling = tuple((a * s0, b * sR) for a, b in lam_inv)
     rows = (lambda x: view.over_delta(1, x).u,
             lambda x: view.over_delta(-1, x).u)
     return RankTwoKernel(left=rows, coupling=coupling, right=rows)

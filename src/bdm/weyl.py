@@ -31,10 +31,17 @@ from .traces import AnglePair, normalize_strip
 
 @dataclass(frozen=True)
 class WTMatrix:
-    matrix: np.ndarray
+    """M_alpha(z, x0): entries ((m11, m12), (m21, m22)) as Python complex
+    numbers, and matrix, the same as a new 2x2 array on each access."""
+
+    entries: tuple
     alpha: float
     x0: float
     z: complex
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return np.array(self.entries, dtype=complex)
 
 
 def wt_m(V: PotentialSpec, R: float, z: complex, x0: float, xi: complex,
@@ -94,9 +101,9 @@ def wt_matrix(V: PotentialSpec, R: float, z: complex, x0: float,
     d = mm - mp
     if abs(d) < 1e-13 * max(1.0, abs(mm), abs(mp)):
         raise DegenerateError("m- = m+ at this (z, x0): M_alpha undefined")
-    half = 0.5 * (mm + mp)
-    mat = np.array([[1.0, half], [half, mm * mp]], dtype=complex) / d
-    return WTMatrix(mat, complex(alpha).real, x0, z)
+    half = 0.5 * (mm + mp) / d
+    return WTMatrix(((1.0 / d, half), (half, mm * mp / d)),
+                    complex(alpha).real, x0, z)
 
 
 def _wedge_limits(gk, x0: float, h: float):
@@ -148,7 +155,7 @@ def green_link_check(V: PotentialSpec, R: float, pair: AnglePair, z: complex,
     Returns a dict name -> residual; identities whose angle hypotheses fail
     (sin of an angle vanishing) are skipped.
     """
-    lam = bdmap_robin(V, R, pair, z, tol).matrix
+    lam = bdmap_robin(V, R, pair, z, tol).entries
     mp, mm = m_functions_from_fs(solution(V, z, tol).fs, R, pair)
     gk = green_evaluator(V, R, pair, z, tol)
     g00 = gk(0.0, 0.0)
@@ -160,23 +167,23 @@ def green_link_check(V: PotentialSpec, R: float, pair: AnglePair, z: complex,
     # the lambda12 links are stated undivided, so they hold where
     # Delta(theta0, 0) or Delta(0, thetaR) vanishes as well
     if abs(s0) > 1e-9:
-        out["lambda11_from_green"] = abs(lam[0, 0] - (g00 + s0 * c0) / (s0 * s0))
+        out["lambda11_from_green"] = abs(lam[0][0] - (g00 + s0 * c0) / (s0 * s0))
         out["g00_from_mplus"] = abs(g00 - s0 * (-c0 + s0 * mp))
         dR = char_det(V, z, 0.0, tR, tol)
-        out["lambda12_from_g00"] = abs(s0 * dR * lam[0, 1] + g00)
+        out["lambda12_from_g00"] = abs(s0 * dR * lam[0][1] + g00)
     if abs(sR) > 1e-9:
-        out["lambda22_from_green"] = abs(lam[1, 1] - (gRR + sR * cR) / (sR * sR))
+        out["lambda22_from_green"] = abs(lam[1][1] - (gRR + sR * cR) / (sR * sR))
         out["gRR_from_mminus"] = abs(gRR - sR * (-cR - sR * mm))
         d0 = char_det(V, z, t0, 0.0, tol)
-        out["lambda12_from_gRR"] = abs(sR * d0 * lam[0, 1] + gRR)
+        out["lambda12_from_gRR"] = abs(sR * d0 * lam[0][1] + gRR)
     # Dirichlet corner-derivative limits, step-refined one-sided differences
     # on the x < x' wedge, quadratically extrapolated toward the corner
     if abs(s0) <= 1e-9 and abs(sR) <= 1e-9:
         h = 2.5e-4
         f1, f2, f3 = (_fd_second_mixed(gk, d, 2.5 * d, h)
                       for d in (4 * h, 8 * h, 16 * h))
-        out["dirichlet_corner_0"] = abs(lam[0, 0] - (8 * f1 - 6 * f2 + f3) / 3.0)
+        out["dirichlet_corner_0"] = abs(lam[0][0] - (8 * f1 - 6 * f2 + f3) / 3.0)
         f1, f2, f3 = (_fd_second_mixed(gk, R - 2.5 * d, R - d, h)
                       for d in (4 * h, 8 * h, 16 * h))
-        out["dirichlet_corner_R"] = abs(lam[1, 1] - (8 * f1 - 6 * f2 + f3) / 3.0)
+        out["dirichlet_corner_R"] = abs(lam[1][1] - (8 * f1 - 6 * f2 + f3) / 3.0)
     return out

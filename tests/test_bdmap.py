@@ -32,6 +32,16 @@ def test_robin_map_frozen_free_dirichlet():
     assert np.max(np.abs(lam - expect)) < 1e-9
 
 
+def test_maps_compare_and_hash_by_entries():
+    q = quad(0.35, 0.75, 1.5, 2.4)
+    a, b = (bdmap_general(VREAL, R, q, 2.0 + 1.0j) for _ in range(2))
+    assert np.array_equal(a.matrix, np.array(a.entries))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != bdmap_general(VREAL, R, q, 2.0 + 1.5j)
+    assert bdmap_robin(VREAL, R, q.base, 1j) == bdmap_robin(VREAL, R, q.base, 1j)
+
+
 def test_general_map_identity_quad():
     q = quad(0.7, 1.9, 0.7, 1.9)
     lam = bdmap_general(VCPLX, R, q, 1.2 + 0.9j).matrix

@@ -83,6 +83,14 @@ def test_complex_alpha_with_zero_imaginary_part_is_its_real_part():
     assert m.alpha == 0.5 and isinstance(m.alpha, float)
 
 
+@pytest.mark.parametrize("data", [odecore.CauchyData(NAN, 0.0, 0.0),
+                                  odecore.CauchyData(0.0, INF, 0.0)],
+                         ids=["nan-u", "inf-du"])
+def test_non_finite_start_data_is_domain_error(data):
+    with pytest.raises(DomainError, match="must be finite"):
+        odecore.propagate(V0, 1j, data, 1.0)
+
+
 def test_non_integer_n_max_is_domain_error():
     with pytest.raises(DomainError, match="positive integer"):
         eig_selfadjoint(V0, R, AnglePair(0, 0), 2.5)

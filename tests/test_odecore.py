@@ -261,9 +261,9 @@ def _record_propagations(monkeypatch):
     calls = []
     inner = odecore._propagate_vec
 
-    def counted(V, z, x0, y0, x1, tol):
+    def counted(V, z, x0, y0, x1, tol, *rest):
         calls.append((x0, x1, len(y0)))
-        return inner(V, z, x0, y0, x1, tol)
+        return inner(V, z, x0, y0, x1, tol, *rest)
 
     monkeypatch.setattr(odecore, "_propagate_vec", counted)
     odecore.solution.cache_clear()
@@ -291,6 +291,27 @@ def test_interior_calls_share_one_sweep(monkeypatch):
     for ends in (rightward, leftward):
         assert len(ends) == len(set(ends))
         assert set(ends) <= set(xs + x0s)
+    odecore.solution.cache_clear()
+
+
+def test_basis_tables_the_knots_it_crosses(monkeypatch):
+    # an ascending 3x3 Green grid on five linear pieces: ~u+ (from R) at
+    # 0.5 crosses every knot, so 1.3 then starts at the knot 1.9 and not
+    # at R; before the knots were kept, ~u+ ran pi-0.5, pi-1.3 and pi-2.7
+    R = math.pi
+    V = PotentialSpec.sampled([0.0, 0.6, 1.2, 1.9, 2.5, R],
+                              [0.3, -1.0, 0.8, 0.1, -0.4, 0.6], R)
+    xs = [0.5, 1.3, 2.7]
+    calls = _record_propagations(monkeypatch)
+    for x in xs:
+        for xp in xs:
+            green(V, R, AnglePair(0.35, 0.75), 20.0 + 1.5j, x, xp)
+    assert [c for c in calls if c[2] == 4] == [(0.0, R, 4)]
+    uminus = sum(x1 - x0 for x0, x1, n in calls if n == 2 and x1 > x0)
+    uplus = sum(x0 - x1 for x0, x1, n in calls if n == 2 and x1 < x0)
+    assert uminus == pytest.approx(2.7, rel=1e-14)
+    assert uplus == pytest.approx((R - 0.5) + (1.9 - 1.3) + (R - 2.7),
+                                  rel=1e-14)
     odecore.solution.cache_clear()
 
 
@@ -361,7 +382,7 @@ def test_exact_maps_match_dp54(pieces, angles, log_r, arg):
     den = delta_from_fs(ref, q.base.theta0, q.base.thetaR)
     # next to a pole the map itself is ill-conditioned for either backend
     assume(not is_near_eigenvalue(den, z, R, q.base.theta0, q.base.thetaR, 1e-4))
-    expect = lambda_from_fs(ref, R, q)
+    expect = np.array(lambda_from_fs(ref, R, q))
     got = bdmap_general(V, R, q, z).matrix
     assert np.max(np.abs(got - expect)) <= 1e-8 * np.max(np.abs(expect))
 

@@ -97,6 +97,14 @@ def test_wt_matrix_determinant():
         assert abs(np.linalg.det(M.matrix) + 0.25) < 1e-10
 
 
+def test_wt_matrices_compare_and_hash_by_entries():
+    pair = AnglePair(0.35, 0.75)
+    a, b = (wt_matrix(VREAL, R, 2.0 + 1.0j, 1.3, pair, 0.4) for _ in range(2))
+    assert np.array_equal(a.matrix, np.array(a.entries))
+    assert a == b and hash(a) == hash(b)
+    assert a != wt_matrix(VREAL, R, 2.0 + 1.0j, 1.3, pair, 0.5)
+
+
 def test_wt_matrix_large_imaginary_z_has_no_false_node():
     # u- and u+ are tiny at x0 = 1.3, z = 300i but have no node there: the
     # node test compares |u| with |u'| and ignores their common scale
