@@ -41,8 +41,8 @@ def main():
         for name, pair in cases.items():
             lam = bdmap_robin(V, R, pair, z).matrix
             ref = asymptotic_reference(pair, z, R)
-            e11 = abs(lam[0, 0] / ref[0, 0] - 1.0)
-            e22 = abs(lam[1, 1] / ref[1, 1] - 1.0)
+            e11 = abs(lam[0, 0] / ref[0][0] - 1.0)
+            e22 = abs(lam[1, 1] / ref[1][1] - 1.0)
             lines.append(f"{t:.17g},{name},{e11:.17g},{e22:.17g}")
             print(f"t={t:>10g}  {name:<20} err11={e11:.3e}  err22={e22:.3e}")
     with open(args.out, "w", encoding="utf-8") as fh:

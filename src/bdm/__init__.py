@@ -14,7 +14,7 @@ from .errors import (AccuracyError, BdmError, ConfigError, ContourError,
                      DegenerateError, DomainError, EigenvalueHitError,
                      NumericalError, PoleHitError, SearchFailureError,
                      StiffnessError)
-from .lft import Block4, connector, in_class_A4, moebius, verify_lft_relation
+from .lft import Block4, connector, moebius
 from .odecore import (CauchyData, FundamentalEval, char_det,
                       fundamental_system, propagate)
 from .potential import (PotentialSpec, closed_form_f, closed_form_g,

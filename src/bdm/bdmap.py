@@ -99,7 +99,7 @@ def m_minus(V: PotentialSpec, R: float, theta0: complex, thetaR: complex,
     return m_functions_from_fs(fs, R, AnglePair(theta0, thetaR), tol)[1]
 
 
-def asymptotic_reference(pair: AnglePair, z: complex, R: float) -> np.ndarray:
+def asymptotic_reference(pair: AnglePair, z: complex, R: float) -> tuple:
     """Leading |z| -> infinity behavior of the Robin map (Im sqrt(z) > 0).
 
     Four cases by whether sin(theta0), sin(thetaR) vanish.  The (2,2)
@@ -127,12 +127,16 @@ def asymptotic_reference(pair: AnglePair, z: complex, R: float) -> np.ndarray:
     else:
         off = -2.0 * i * rt * e
         d1, d2 = i * rt, i * rt
-    return np.array([[d1, off], [off, d2]], dtype=complex)
+    return ((d1, off), (off, d2))
 
 
-def _herglotz(V: PotentialSpec, R: float, quad: AngleQuad, z: complex,
-              tol: float) -> tuple:
-    """herglotz_imag as a 2x2 tuple of Python complex numbers."""
+def herglotz_imag(V: PotentialSpec, R: float, quad: AngleQuad, z: complex,
+                  tol: float = DEFAULT_TOL) -> tuple:
+    """Im(Lambda^{theta'}_{theta}(z) S_{theta'-theta}) as a Hermitian matrix.
+
+    Positive definite for real V, real admissible angles and Im z > 0;
+    the caller asserts definiteness.
+    """
     if not V.is_real:
         raise DomainError("the Herglotz property needs a real potential")
     if not quad.is_real:
@@ -147,16 +151,6 @@ def _herglotz(V: PotentialSpec, R: float, quad: AngleQuad, z: complex,
          for row in bdmap_general(V, R, quad, z, tol).entries]
     return tuple(tuple((m[j][k] - m[k][j].conjugate()) / 2j for k in range(2))
                  for j in range(2))
-
-
-def herglotz_imag(V: PotentialSpec, R: float, quad: AngleQuad, z: complex,
-                  tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Im(Lambda^{theta'}_{theta}(z) S_{theta'-theta}) as a Hermitian matrix.
-
-    Positive definite for real V, real admissible angles and Im z > 0;
-    the caller asserts definiteness.
-    """
-    return np.array(_herglotz(V, R, quad, z, tol), dtype=complex)
 
 
 def _neville_to_zero(eps, vals):
@@ -182,12 +176,18 @@ def _neville_to_zero(eps, vals):
             max(est for row in limits for _, est in row))
 
 
-def _point_mass(V: PotentialSpec, R: float, quad: AngleQuad, lam: float,
-                tol: float) -> tuple:
-    """measure_point_mass as a 2x2 tuple of Python complex numbers."""
+def measure_point_mass(V: PotentialSpec, R: float, quad: AngleQuad,
+                       lam: float, tol: float = DEFAULT_TOL) -> tuple:
+    """Jump Sigma({lam}) of the Herglotz measure at an isolated eigenvalue.
+
+    Near a simple pole, Lambda(z) S ~ Sigma({lam})/(lam - z), so
+    eps * Im[(Lambda S)(lam + i eps)] -> Sigma({lam}); the limit is taken by
+    polynomial extrapolation over eps = 1e-3, 1e-4, 1e-5 (the literal double
+    limit of the Stieltjes inversion is not implementable).
+    """
     eps = (1e-3, 1e-4, 1e-5)
     vals = [[[e * h for h in row]
-             for row in _herglotz(V, R, quad, lam + 1j * e, tol)]
+             for row in herglotz_imag(V, R, quad, lam + 1j * e, tol)]
             for e in eps]
     jump, est = _neville_to_zero(eps, vals)
     scale = max(1.0, max(abs(v) for row in jump for v in row))
@@ -198,15 +198,3 @@ def _point_mass(V: PotentialSpec, R: float, quad: AngleQuad, lam: float,
     # exact jump is Hermitian PSD; symmetrize away the O(eps) residue
     return tuple(tuple((jump[j][k] + jump[k][j].conjugate()) / 2.0
                        for k in range(2)) for j in range(2))
-
-
-def measure_point_mass(V: PotentialSpec, R: float, quad: AngleQuad,
-                       lam: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Jump Sigma({lam}) of the Herglotz measure at an isolated eigenvalue.
-
-    Near a simple pole, Lambda(z) S ~ Sigma({lam})/(lam - z), so
-    eps * Im[(Lambda S)(lam + i eps)] -> Sigma({lam}); the limit is taken by
-    polynomial extrapolation over eps = 1e-3, 1e-4, 1e-5 (the literal double
-    limit of the Stieltjes inversion is not implementable).
-    """
-    return np.array(_point_mass(V, R, quad, lam, tol), dtype=complex)

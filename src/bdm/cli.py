@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import __version__
-from .bdmap import _point_mass, bdmap_general
+from .bdmap import bdmap_general, measure_point_mass
 from .errors import ConfigError, DomainError, NumericalError
 from .odecore import DEFAULT_TOL
 from .potential import PotentialSpec
@@ -100,7 +99,7 @@ def parse_config(cfg: dict, tol_override=None) -> ProblemConfig:
         primed = _pair(cfg["theta_prime"]) if "theta_prime" in cfg else None
         tol = tol_override if tol_override is not None else cfg.get("tol")
         if tol is None:
-            tol = os.environ.get("BDM_TOL", DEFAULT_TOL)
+            tol = DEFAULT_TOL
         return ProblemConfig(R=R, V=V, pair=pair, primed=primed,
                              tol=float(tol), raw=cfg)
 
@@ -196,7 +195,7 @@ def cmd_measure(cfg, args) -> int:
     spec = eig_selfadjoint(V, R, pair, args.n, tol)
     rows = []
     for lam in spec.eigenvalues:
-        sig = _point_mass(V, R, AngleQuad(pair, primed), lam.real, tol)
+        sig = measure_point_mass(V, R, AngleQuad(pair, primed), lam.real, tol)
         rows.append([lam.real] + _mat_row(sig))
     header = (["lambda"] + _complex_cols("sigma11") + _complex_cols("sigma12")
               + _complex_cols("sigma21") + _complex_cols("sigma22"))
@@ -240,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, default_out):
         p.add_argument("--config", required=True, help="JSON problem config")
         p.add_argument("--tol", type=float, default=None,
-                       help="override tolerance (also via BDM_TOL)")
+                       help="override the config's tolerance")
         p.add_argument("--jobs", type=int, default=1,
                        help="ignored; z grids run in one process")
         p.add_argument("--out", default=default_out,

@@ -25,8 +25,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-from ._lazy import np
 from .errors import AccuracyError, DomainError, EigenvalueHitError
+from .traces import EYE2, mat_mul
 
 
 def sqrt_upper(z: complex) -> complex:
@@ -250,7 +250,7 @@ def _raise_if_free_eigenvalue(fr: complex, g: float, z: complex, R: float,
 
 
 def oracle_bdmap_zero(z: complex, R: float, theta0: complex,
-                      thetaR: complex) -> np.ndarray:
+                      thetaR: complex) -> tuple:
     """Exact Robin-to-Robin map of the free problem (entries g/f, -sqrt(z)/f,
     written through the entire parts so z = 0 is a removable point).  f and
     g share the scale e^(Im sqrt(z) R), so only the off-diagonal sees it."""
@@ -259,7 +259,7 @@ def oracle_bdmap_zero(z: complex, R: float, theta0: complex,
     m11 = _f_scaled(z, R, theta0 + math.pi / 2.0, thetaR)[0] / fr
     m22 = _f_scaled(z, R, thetaR + math.pi / 2.0, theta0)[0] / fr
     off = -math.exp(-g) / fr
-    return np.array([[m11, off], [off, m22]], dtype=complex)
+    return ((m11, off), (off, m22))
 
 
 def oracle_green_zero(z: complex, R: float, theta0: complex, thetaR: complex,
@@ -277,7 +277,7 @@ def oracle_green_zero(z: complex, R: float, theta0: complex, thetaR: complex,
 
 
 def transfer_matrix_piecewise(V: PotentialSpec, z: complex, a: float,
-                              b: float) -> np.ndarray:
+                              b: float) -> tuple:
     """Exact 2x2 propagator T with (u(b), u'(b))^T = T (u(a), u'(a))^T for
     piecewise-constant V; det T = 1.  AccuracyError when an entry does not
     fit in a double."""
@@ -285,9 +285,9 @@ def transfer_matrix_piecewise(V: PotentialSpec, z: complex, a: float,
         raise DomainError("transfer matrices require a piecewise-constant potential")
     if not (0.0 <= a <= b <= V.R):
         raise DomainError("need 0 <= a <= b <= R")
-    T, log_scale = np.eye(2, dtype=complex), 0.0
+    T, log_scale = EYE2, 0.0
     for lo, hi, (_, _, v, _) in V.span(a, b):
         c, s, beta = trig_piece(z - v, hi - lo)
-        T = np.array([[c, s], [(v - z) * s, c]]) @ T
+        T = mat_mul(((c, s), ((v - z) * s, c)), T)
         log_scale += beta
-    return np.array([[unscale(t, log_scale, z, b) for t in row] for row in T])
+    return tuple(tuple(unscale(t, log_scale, z, b) for t in row) for row in T)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from ._lazy import np
 from .bdmap import bdmap_general
 from .errors import DomainError
 from .odecore import DEFAULT_TOL, BasisView, _check_R, solution
@@ -85,7 +84,7 @@ def adjoint_trace_kernel(V: PotentialSpec, R: float, pair: AnglePair,
 
 
 def lambda_times_s(V: PotentialSpec, R: float, quad: AngleQuad, z: complex,
-                   tol: float = DEFAULT_TOL) -> np.ndarray:
+                   tol: float = DEFAULT_TOL) -> tuple:
     """gamma_{primed} applied to the adjoint-trace columns: assembles
     Lambda^{theta'}_{theta}(z) S_{theta'-theta} column by column, entirely
     from basis endpoint data (the resolvent-representation route): the
@@ -93,12 +92,12 @@ def lambda_times_s(V: PotentialSpec, R: float, quad: AngleQuad, z: complex,
     sin(thetaR'-thetaR) gamma_{primed}(~u-/Delta)."""
     view = green_evaluator(V, R, quad.base, z, tol)
     d0, dR = quad.diffs
-    out = np.empty((2, 2), dtype=complex)
-    for j, (sign, d) in enumerate(((1, d0), (-1, dR))):
+    cols = []
+    for sign, d in ((1, d0), (-1, dR)):
         a, b = view.over_delta(sign, 0.0), view.over_delta(sign, R)
         g0, gR = trace_gamma(quad.primed, (a.u, a.du, b.u, b.du))
-        out[:, j] = (cmath.sin(d) * g0, cmath.sin(d) * gR)
-    return out
+        cols.append((cmath.sin(d) * g0, cmath.sin(d) * gR))
+    return tuple(zip(*cols))
 
 
 @dataclass

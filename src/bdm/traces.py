@@ -16,11 +16,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from ._lazy import np
-from .errors import DomainError
+from .errors import DegenerateError, DomainError
 
 TWO_PI = 2.0 * math.pi
 MAX_ANGLE_IM = 350.0
+COND_LIMIT = 1e8
+EYE2 = ((1.0 + 0j, 0j), (0j, 1.0 + 0j))
 
 
 def normalize_strip(theta: complex) -> complex:
@@ -93,14 +94,79 @@ def trace_gamma(pair: AnglePair, bdry) -> tuple[complex, complex]:
     return (g0, gR)
 
 
-def diag_sin(alpha: complex, beta: complex) -> np.ndarray:
-    return np.array([[cmath.sin(alpha), 0.0], [0.0, cmath.sin(beta)]],
-                    dtype=complex)
+def diag_sin(alpha: complex, beta: complex) -> tuple:
+    return ((cmath.sin(alpha), 0j), (0j, cmath.sin(beta)))
 
 
-def diag_cos(alpha: complex, beta: complex) -> np.ndarray:
-    return np.array([[cmath.cos(alpha), 0.0], [0.0, cmath.cos(beta)]],
-                    dtype=complex)
+def diag_cos(alpha: complex, beta: complex) -> tuple:
+    return ((cmath.cos(alpha), 0j), (0j, cmath.cos(beta)))
+
+
+# every 2x2 value in bdm is ((a, b), (c, d)) of Python complex numbers;
+# these are the operations on it
+def mat_mul(m: tuple, *rest: tuple) -> tuple:
+    """The product m rest[0] rest[1] ..., left to right."""
+    for (e, f), (g, h) in rest:
+        (a, b), (c, d) = m
+        m = ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+    return m
+
+
+def mat_add(m: tuple, n: tuple) -> tuple:
+    return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(m, n))
+
+
+def mat_sub(m: tuple, n: tuple) -> tuple:
+    return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(m, n))
+
+
+def mat_adjoint(m: tuple) -> tuple:
+    (a, b), (c, d) = m
+    return ((a.conjugate(), c.conjugate()), (b.conjugate(), d.conjugate()))
+
+
+def mat_max_abs(m: tuple) -> float:
+    return max(abs(x) for row in m for x in row)
+
+
+def mat_det(m: tuple) -> complex:
+    (a, b), (c, d) = m
+    return a * d - b * c
+
+
+def _unit_scaled(m: tuple) -> tuple:
+    """(m / s, s), s the largest absolute entry (1 for a zero m): the
+    entries of m / s are at most 1, so no square or product overflows."""
+    s = mat_max_abs(m) or 1.0
+    return tuple(tuple(x / s for x in row) for row in m), s
+
+
+def mat_cond(m: tuple) -> float:
+    """The 2-norm condition number (F + sqrt(F^2 - 4|det|^2)) / (2|det|),
+    F the squared Frobenius norm, of m scaled to a largest entry of 1; inf
+    for a singular m.  F^2 - 4|det|^2 is summed as (p - r)^2 + 4|q|^2, with
+    m m* = [[p, q], [q*, r]], free of the cancellation of the difference."""
+    n, _ = _unit_scaled(m)
+    (a, b), (c, d) = n
+    p, r = abs(a) ** 2 + abs(b) ** 2, abs(c) ** 2 + abs(d) ** 2
+    q = a * c.conjugate() + b * d.conjugate()
+    det = abs(mat_det(n))
+    root = math.sqrt((p - r) ** 2 + 4.0 * abs(q) ** 2)
+    return (p + r + root) / (2.0 * det) if det else math.inf
+
+
+def mat_inv(m: tuple, what: str) -> tuple:
+    """m^-1; a DomainError for a non-finite entry and a DegenerateError
+    unless mat_cond(m) <= COND_LIMIT, so a NaN condition number fails."""
+    if not all(cmath.isfinite(x) for row in m for x in row):
+        raise DomainError(f"{what} has a non-finite entry")
+    if not mat_cond(m) <= COND_LIMIT:
+        raise DegenerateError(f"{what} is ill-conditioned "
+                              f"(cond > {COND_LIMIT:g})")
+    n, s = _unit_scaled(m)
+    (a, b), (c, d) = n
+    det = mat_det(n) * s
+    return ((d / det, -b / det), (-c / det, a / det))
 
 
 def angles_mod_pi_zero(theta: complex, tol: float = 1e-12) -> bool:

@@ -9,9 +9,9 @@ seeded draws and reports one row per family: max residual vs threshold.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
-from ._lazy import np
 from .bdmap import (asymptotic_reference, bdmap_general, bdmap_robin,
                     herglotz_imag, m_functions_from_fs)
 from .errors import EigenvalueHitError, NumericalError
@@ -19,7 +19,8 @@ from .lft import block_relations_residual, connector, lft_residuals
 from .odecore import DEFAULT_TOL, solution
 from .potential import PotentialSpec
 from .resolvent import green_evaluator, krein_kernel, lambda_times_s
-from .traces import AnglePair, AngleQuad, diag_sin, quad
+from .traces import (EYE2, AnglePair, AngleQuad, diag_sin, mat_det,
+                     mat_max_abs, mat_mul, mat_sub, quad)
 from .weyl import green_link_check, wt_matrix
 
 GROUP_LAW_THRESHOLD = 1e-9
@@ -46,9 +47,9 @@ class IdentityResult:
 def _rand_quads(rng, n, complex_angles):
     quads = []
     for _ in range(n):
-        a = rng.uniform(0.25, 2 * math.pi - 0.25, 4)
+        a = [rng.uniform(0.25, 2 * math.pi - 0.25) for _ in range(4)]
         if complex_angles:
-            a = a + 1j * rng.uniform(-0.3, 0.3, 4)
+            a = [x + 1j * rng.uniform(-0.3, 0.3) for x in a]
         quads.append(quad(*a))
     return quads
 
@@ -72,17 +73,17 @@ def check_group_laws(V, R, rng, tol, n=4) -> IdentityResult:
         try:
             base, mid = qa.base, qa.primed
             top = AnglePair(qa.base.theta0 + 0.9, qa.base.thetaR + 2.2)
-            l_id = bdmap_general(V, R, AngleQuad(base, base), z, tol).matrix
-            l1 = bdmap_general(V, R, AngleQuad(base, mid), z, tol).matrix
-            l2 = bdmap_general(V, R, AngleQuad(mid, top), z, tol).matrix
-            l13 = bdmap_general(V, R, AngleQuad(base, top), z, tol).matrix
-            linv = bdmap_general(V, R, AngleQuad(mid, base), z, tol).matrix
+            l_id = bdmap_general(V, R, AngleQuad(base, base), z, tol).entries
+            l1 = bdmap_general(V, R, AngleQuad(base, mid), z, tol).entries
+            l2 = bdmap_general(V, R, AngleQuad(mid, top), z, tol).entries
+            l13 = bdmap_general(V, R, AngleQuad(base, top), z, tol).entries
+            linv = bdmap_general(V, R, AngleQuad(mid, base), z, tol).entries
         except EigenvalueHitError:
             continue
-        worst = max(worst, float(np.max(np.abs(l_id - np.eye(2)))))
-        scale = max(1.0, float(np.max(np.abs(l13))))
-        worst = max(worst, float(np.max(np.abs(l2 @ l1 - l13))) / scale)
-        worst = max(worst, float(np.max(np.abs(linv @ l1 - np.eye(2)))))
+        worst = max(worst, mat_max_abs(mat_sub(l_id, EYE2)))
+        scale = max(1.0, mat_max_abs(l13))
+        worst = max(worst, mat_max_abs(mat_sub(mat_mul(l2, l1), l13)) / scale)
+        worst = max(worst, mat_max_abs(mat_sub(mat_mul(linv, l1), EYE2)))
     return IdentityResult("group_laws", worst,
                           GROUP_LAW_THRESHOLD, worst < GROUP_LAW_THRESHOLD)
 
@@ -96,12 +97,12 @@ def check_symmetry_diagonal(V, R, pair, rng, tol, n=3) -> IdentityResult:
         z = _safe_z(V, R, rng, tol)
         try:
             fs = solution(V, z, tol).fs
-            lam = bdmap_robin(V, R, p, z, tol).matrix
+            lam = bdmap_robin(V, R, p, z, tol).entries
             mp, mm = m_functions_from_fs(fs, R, p)
         except EigenvalueHitError:
             continue
-        worst = max(worst, abs(lam[0, 1] - lam[1, 0]),
-                    abs(lam[0, 0] - mp), abs(lam[1, 1] + mm))
+        worst = max(worst, abs(lam[0][1] - lam[1][0]),
+                    abs(lam[0][0] - mp), abs(lam[1][1] + mm))
     return IdentityResult("map_symmetry", worst, SYMMETRY_THRESHOLD,
                           worst < SYMMETRY_THRESHOLD)
 
@@ -112,12 +113,12 @@ def check_resolvent_representation(V, R, rng, tol, n=3) -> IdentityResult:
         z = _safe_z(V, R, rng, tol)
         try:
             ls_res = lambda_times_s(V, R, qa, z, tol)
-            lam = bdmap_general(V, R, qa, z, tol).matrix
+            lam = bdmap_general(V, R, qa, z, tol).entries
         except EigenvalueHitError:
             continue
         d0, dR = qa.diffs
-        ls = lam @ diag_sin(d0, dR)
-        worst = max(worst, float(np.max(np.abs(ls_res - ls))))
+        ls = mat_mul(lam, diag_sin(d0, dR))
+        worst = max(worst, mat_max_abs(mat_sub(ls_res, ls)))
     return IdentityResult("trace_representation", worst,
                           RESOLVENT_REP_THRESHOLD, worst < RESOLVENT_REP_THRESHOLD)
 
@@ -149,14 +150,24 @@ def check_connector_membership(rng, n=6) -> IdentityResult:
                           CONNECTOR_THRESHOLD, worst < CONNECTOR_THRESHOLD)
 
 
+def _min_eigenvalue(h: tuple) -> float:
+    """The smallest eigenvalue of a Hermitian 2x2.  For a positive trace
+    it is det / lam_max: mid - root cancels where it is near zero."""
+    (a, b), (_, d) = h
+    mid = 0.5 * (a.real + d.real)
+    root = math.hypot(0.5 * (a.real - d.real), abs(b))
+    if mid > 0.0:
+        return mat_det(h).real / (mid + root)
+    return mid - root
+
+
 def check_herglotz(V, R, rng, tol, n_quads=4, n_z=5) -> IdentityResult:
     if not V.is_real:
         return IdentityResult("herglotz_positivity", 0.0, 0.0, True,
                               note="skipped: complex potential")
     min_eig = math.inf
     for _ in range(n_quads):
-        a = rng.uniform(0.3, 2 * math.pi - 0.3, 4)
-        qa = quad(*a)
+        qa = quad(*(rng.uniform(0.3, 2 * math.pi - 0.3) for _ in range(4)))
         d0, dR = qa.diffs
         if abs(math.sin(d0.real)) < 0.2 or abs(math.sin(dR.real)) < 0.2:
             continue
@@ -166,7 +177,7 @@ def check_herglotz(V, R, rng, tol, n_quads=4, n_z=5) -> IdentityResult:
                 im = herglotz_imag(V, R, qa, z, tol)
             except EigenvalueHitError:
                 continue
-            min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(im))))
+            min_eig = min(min_eig, _min_eigenvalue(im))
     if math.isinf(min_eig):
         return IdentityResult("herglotz_positivity", 0.0, 0.0,
                               True, note="skipped: no admissible draws")
@@ -209,7 +220,7 @@ def check_wt_and_green_links(V, R, pair, rng, tol, n=3) -> IdentityResult:
             M = wt_matrix(V, R, z, x0, pair, alpha, tol)
         except NumericalError:
             continue
-        worst_det = max(worst_det, abs(np.linalg.det(M.matrix) + 0.25))
+        worst_det = max(worst_det, abs(mat_det(M.entries) + 0.25))
     z = _safe_z(V, R, rng, tol)
     links = green_link_check(V, R, pair, z, tol)
     worst_link = max(links.values()) if links else 0.0
@@ -229,10 +240,10 @@ def check_asymptotics(V, R, pair, tol) -> IdentityResult:
     worst = 0.0
     for p in (AnglePair(0, 0), AnglePair(0, cR), AnglePair(c0, 0),
               AnglePair(c0, cR)):
-        lam = bdmap_robin(V, R, p, 1j * t, tol).matrix
+        lam = bdmap_robin(V, R, p, 1j * t, tol).entries
         ref = asymptotic_reference(p, 1j * t, R)
-        worst = max(worst, abs(lam[0, 0] / ref[0, 0] - 1.0),
-                    abs(lam[1, 1] / ref[1, 1] - 1.0))
+        worst = max(worst, abs(lam[0][0] / ref[0][0] - 1.0),
+                    abs(lam[1][1] / ref[1][1] - 1.0))
     return IdentityResult("large_z_asymptotics", worst, threshold,
                           worst < threshold, note=f"probed at z = {t:g}i")
 
@@ -241,7 +252,7 @@ def run_suite(V: PotentialSpec, R: float, pair: AnglePair,
               tol: float = DEFAULT_TOL,
               seed: int = 2024) -> list[IdentityResult]:
     """Run every identity family; deterministic for a fixed seed."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     results = [
         check_group_laws(V, R, rng, tol),
         check_symmetry_diagonal(V, R, pair, rng, tol),

@@ -26,7 +26,7 @@ from .odecore import (DEFAULT_TOL, _check_R, _propagate_vec, char_det,
                       solution)
 from .potential import PotentialSpec
 from .resolvent import green_evaluator
-from .traces import AnglePair, normalize_strip
+from .traces import AnglePair, mat_mul, normalize_strip
 
 
 @dataclass(frozen=True)
@@ -130,16 +130,14 @@ def _wedge_limits(gk, x0: float, h: float):
 
 def wt_matrix_via_green(V: PotentialSpec, R: float, z: complex, x0: float,
                         pair: AnglePair, alpha: float = 0.0,
-                        tol: float = DEFAULT_TOL) -> np.ndarray:
+                        tol: float = DEFAULT_TOL) -> tuple:
     """M_alpha assembled from the Green kernel only (finite differences on
     the off-diagonal wedge), for cross-checking the m-function route."""
     gk = green_evaluator(V, R, pair, z, tol)
     g, sym, mixed = _wedge_limits(gk, x0, 1e-4)
     c, s = math.cos(alpha), math.sin(alpha)
-    m11 = c * c * g + 2.0 * c * s * sym + s * s * mixed
-    m22 = s * s * g - 2.0 * c * s * sym + c * c * mixed
-    m12 = -c * s * g + (c * c - s * s) * sym + s * c * mixed
-    return np.array([[m11, m12], [m12, m22]], dtype=complex)
+    return mat_mul(((c, s), (-s, c)), ((g, sym), (sym, mixed)),
+                   ((c, -s), (s, c)))
 
 
 def _fd_second_mixed(gk, x: float, xp: float, h: float) -> complex:

@@ -242,7 +242,7 @@ def test_criterion_7_herglotz_and_point_mass():
                     continue
                 min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(im))))
     sig = measure_point_mass(VFREE, R, quad(0.0, 0.0, math.pi / 2, math.pi / 2), 1.0)
-    jump_err = abs(sig[0, 0].real - 2.0 / math.pi)
+    jump_err = abs(sig[0][0].real - 2.0 / math.pi)
     ok = min_eig > 0.0 and jump_err < 1e-4
     _report("criterion 7 (Herglotz positivity and point mass 2/pi)", ok,
             f"min eig {min_eig:.3e}, jump error {jump_err:.3e}")
@@ -286,8 +286,8 @@ def test_criterion_9_asymptotics():
         for p in pairs:
             lam = bdmap_robin(vb, R2, p, 1j * t).matrix
             ref = asymptotic_reference(p, 1j * t, R2)
-            worst = max(worst, abs(lam[0, 0] / ref[0, 0] - 1.0),
-                        abs(lam[1, 1] / ref[1, 1] - 1.0))
+            worst = max(worst, abs(lam[0, 0] / ref[0][0] - 1.0),
+                        abs(lam[1, 1] / ref[1][1] - 1.0))
         figures[t] = worst
         assert worst < thr, f"asymptotics at t={t:g}: {worst:.3e} >= {thr}"
     _report("criterion 9 (large-z asymptotics)", True,

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from bdm import odecore
 from bdm.bdmap import bdmap_robin
 from bdm.errors import BdmError, DomainError
+from bdm.lft import Block4, moebius
 from bdm.potential import PotentialSpec
 from bdm.resolvent import green
 from bdm.spectrum import count_zeros_rectangle, eig_rectangle, eig_selfadjoint
-from bdm.traces import AnglePair, normalize_strip
+from bdm.traces import EYE2, AnglePair, normalize_strip
 from bdm.weyl import interior_m, wt_m, wt_matrix
 
 R = math.pi
@@ -52,6 +53,13 @@ def test_normalize_strip_huge_real_part(x):
     # the shift is exact (fmod), so it lands in the strip in one step
     n = normalize_strip(complex(x, 2.0))
     assert 0.0 <= n.real < 2 * math.pi and n.imag == 2.0
+
+
+@pytest.mark.parametrize("bad", [NAN, INF], ids=["nan", "inf"])
+def test_moebius_of_non_finite_argument_is_domain_error(bad):
+    zero = ((0j, 0j), (0j, 0j))
+    with pytest.raises(DomainError):
+        moebius(Block4(EYE2, zero, zero, EYE2), ((1.0, bad), (0.0, 1.0)))
 
 
 def test_sampled_grid_with_nan_is_domain_error():

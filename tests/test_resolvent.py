@@ -3,8 +3,6 @@ corrections."""
 
 import cmath
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,8 +191,8 @@ def test_trace_representation_factor_structure():
     lam = bdmap_general(VREAL, R, q, z).matrix
     d0, dR = q.diffs
     for j in range(2):
-        assert ls[j, 0] == pytest.approx(cmath.sin(d0) * lam[j, 0], rel=1e-10)
-        assert ls[j, 1] == pytest.approx(cmath.sin(dR) * lam[j, 1], rel=1e-10)
+        assert ls[j][0] == pytest.approx(cmath.sin(d0) * lam[j, 0], rel=1e-10)
+        assert ls[j][1] == pytest.approx(cmath.sin(dR) * lam[j, 1], rel=1e-10)
 
 
 KREIN_CASES = [
@@ -298,19 +296,7 @@ def test_auxiliary_eigenvalue_free_matches_closed_forms():
     assert all(v < 1e-8 for v in green_link_check(VFREE, R, pair, mu).values())
 
 
-def _oracles():
-    """perfbench/oracles.py: mpmath trig/Airy references that import no bdm."""
-    pytest.importorskip("mpmath")
-    pytest.importorskip("scipy")
-    path = str(Path(__file__).resolve().parents[1] / "perfbench")
-    if path not in sys.path:
-        sys.path.insert(0, path)
-    import oracles
-    return oracles
-
-
-def test_auxiliary_eigenvalue_sampled_matches_airy_oracle():
-    oracles = _oracles()
+def test_auxiliary_eigenvalue_sampled_matches_airy_oracle(oracles):
     pair, primed = AnglePair(0.3, 0.7), AnglePair(1.5, 2.4)
     mu = eig_selfadjoint(VREAL, R, AnglePair(0.3, 0.0), 2).eigenvalues[1].real
     pieces = oracles.pieces_of("sampled", R, values=VREAL.values,

@@ -1,8 +1,6 @@
 """Eigenvalue localization: real-line bracketing and contour counting."""
 
 import math
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -199,19 +197,7 @@ def test_bad_tol_rejected_before_any_propagation(search, tol, monkeypatch):
     assert calls == []
 
 
-def _oracles():
-    """perfbench/oracles.py: mpmath/scipy references that import no bdm."""
-    pytest.importorskip("mpmath")
-    pytest.importorskip("scipy")
-    path = str(Path(__file__).resolve().parents[1] / "perfbench")
-    if path not in sys.path:
-        sys.path.insert(0, path)
-    import oracles
-    return oracles
-
-
-def _check_against_reference(V, pair, n, tol, expect=None):
-    oracles = _oracles()
+def _check_against_reference(oracles, V, pair, n, tol, expect=None):
     res = eig_selfadjoint(V, V.R, pair, n, tol)
     pieces = oracles.pieces_of(V.kind, V.R, V.breakpoints, V.values, V.grid)
     ref = oracles.real_eigs_ref(pieces, V.R, pair.theta0.real,
@@ -226,33 +212,33 @@ def _check_against_reference(V, pair, n, tol, expect=None):
     assert "N(E_lo)=0" in res.window
 
 
-def test_deep_well_close_pair_found():
+def test_deep_well_close_pair_found(oracles):
     # the lowest pair, -391.85 and -367.46, is a close pair: Delta keeps its
     # sign across any interval that holds both
     V = PotentialSpec.piecewise_constant([1.0, 2.0], [0.0, -400.0, 0.0],
                                          math.pi)
-    _check_against_reference(V, AnglePair(0.0, 0.0), 5, 1e-10,
+    _check_against_reference(oracles, V, AnglePair(0.0, 0.0), 5, 1e-10,
                              [-391.85, -367.46, -327.03, -270.99, -200.12])
 
 
-def test_robin_bound_states_found():
+def test_robin_bound_states_found(oracles):
     # the cli workload's seed-105 eig config: two Robin bound states 0.89
     # apart, below a sampled bump
     V = PotentialSpec.sampled(
         [0.0, 0.8, 1.6, 2.4, math.pi],
         [0.0, 0.7235277306553369, 0.10245466563879863, 0.7657486789910927,
          0.0], math.pi)
-    _check_against_reference(V, AnglePair(0.9590439908395737,
+    _check_against_reference(oracles, V, AnglePair(0.9590439908395737,
                                           0.7321010158818426), 5, 1e-10,
                              [-0.93554, -0.04260])
 
 
-def test_long_interval_finds_every_eigenvalue():
+def test_long_interval_finds_every_eigenvalue(oracles):
     # a long interval: a Robin bound state near -9.45 and many close well
     # states between -2 and 5
     V = PotentialSpec.piecewise_constant([7.0, 15.0, 22.0],
                                          [1.0, -2.0, 0.5, 3.0], 30.0)
-    _check_against_reference(V, AnglePair(0.3, 2.0), 20, 1e-10)
+    _check_against_reference(oracles, V, AnglePair(0.3, 2.0), 20, 1e-10)
 
 
 def test_search_work_is_bounded(monkeypatch):
