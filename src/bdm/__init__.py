@@ -1,8 +1,9 @@
 """Boundary data maps for one-dimensional Schrodinger operators on [0, R].
 
 Robin-to-Robin maps, Weyl-Titchmarsh functions, spectra, Green's functions
-and Krein resolvent corrections, with exact free-problem and
-transfer-matrix oracles and a cross-identity verification suite.
+and Krein resolvent corrections, with a cross-identity verification suite.
+Every result is made of Python numbers; numpy is needed only for the
+.matrix arrays of BoundaryDataMap and WTMatrix.
 """
 
 __version__ = "0.1.0"
@@ -17,9 +18,7 @@ from .errors import (AccuracyError, BdmError, ConfigError, ContourError,
 from .lft import Block4, connector, moebius
 from .odecore import (CauchyData, FundamentalEval, char_det,
                       fundamental_system, propagate)
-from .potential import (PotentialSpec, closed_form_f, closed_form_g,
-                        eval_potential, oracle_bdmap_zero, oracle_green_zero,
-                        sqrt_upper, transfer_matrix_piecewise)
+from .potential import PotentialSpec, sqrt_upper
 from .resolvent import (GreenEval, RankTwoKernel, adjoint_trace_kernel,
                         gamma_resolvent_rows, green, krein_correction,
                         krein_kernel)

@@ -22,7 +22,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from ._lazy import np
 from .errors import AccuracyError, DomainError
 from .odecore import (DEFAULT_TOL, FundamentalEval, _check_R, delta_from_fs,
                       delta_off_spectrum, solution)
@@ -33,14 +32,16 @@ from .traces import AnglePair, AngleQuad, angles_mod_pi_zero
 @dataclass(frozen=True)
 class BoundaryDataMap:
     """Lambda at z: entries ((l11, l12), (l21, l22)) as Python complex
-    numbers, and matrix, the same as a new 2x2 array on each access."""
+    numbers, and matrix, the same as a new 2x2 numpy array on each access
+    (the one place, with WTMatrix.matrix, that needs numpy)."""
 
     entries: tuple
     z: complex
     quad: AngleQuad
 
     @property
-    def matrix(self) -> np.ndarray:
+    def matrix(self):
+        import numpy as np
         return np.array(self.entries, dtype=complex)
 
 

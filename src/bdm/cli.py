@@ -113,6 +113,12 @@ def load_config(path: str, tol_override=None) -> ProblemConfig:
     return parse_config(cfg, tol_override)
 
 
+def _nonempty(points: list, what: str) -> list:
+    if not points:
+        raise ConfigError(f"{what} holds no points")
+    return points
+
+
 def z_grid_from_config(cfg: dict, z_arg=None):
     if z_arg is not None:
         with _reading(f"--z {z_arg!r} (expected 're' or 're,im')"):
@@ -122,15 +128,15 @@ def z_grid_from_config(cfg: dict, z_arg=None):
         return [complex(0.0, 1.0)]
     with _reading("z_grid"):
         if "list" in zg:
-            return [complex(p.get("re", 0.0), p.get("im", 0.0))
-                    for p in zg["list"]]
+            return _nonempty([complex(p.get("re", 0.0), p.get("im", 0.0))
+                              for p in zg["list"]], "z_grid")
         if "rect" in zg:
             re0, re1, im0, im1 = (float(v) for v in zg["rect"])
             n_re = int(zg.get("n_re", 5))
             n_im = int(zg.get("n_im", 5))
             res = [re0 + (re1 - re0) * i / max(n_re - 1, 1) for i in range(n_re)]
             ims = [im0 + (im1 - im0) * j / max(n_im - 1, 1) for j in range(n_im)]
-            return [complex(a, b) for b in ims for a in res]
+            return _nonempty([complex(a, b) for b in ims for a in res], "z_grid")
     raise ConfigError("z_grid must carry either 'list' or 'rect'")
 
 
@@ -176,9 +182,9 @@ def cmd_green(cfg, args) -> int:
     raw = cfg.raw
     with _reading("x_points/x_grid/xp_grid"):
         n = int(raw.get("x_points", 5))
-        xs = [float(v) for v in raw.get("x_grid")
-              or [cfg.R * (i + 1) / (n + 1) for i in range(n)]]
-        xps = [float(v) for v in raw.get("xp_grid") or xs]
+        xs = _nonempty([float(v) for v in raw.get(
+            "x_grid", [cfg.R * (i + 1) / (n + 1) for i in range(n)])], "x grid")
+        xps = _nonempty([float(v) for v in raw.get("xp_grid", xs)], "x' grid")
     rows = []
     for z in z_grid_from_config(raw, args.z):
         for x in xs:

@@ -12,8 +12,8 @@ congruence behind that is
 with the denominator factor (the variant naming the numerator factor
 fails already for scalar members, e.g. diag(2, 1/2)).
 
-Blocks, arguments and results are 2x2 tuples of Python complex numbers
-(the traces.mat_* algebra); Block4.full() is the one array, on request.
+Blocks, arguments and results are 2x2 tuples of Python complex numbers,
+with their algebra in traces.mat_*.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._lazy import np
 from .bdmap import bdmap_general
 from .errors import DegenerateError, DomainError
 from .odecore import DEFAULT_TOL
@@ -39,17 +38,6 @@ class Block4:
     a12: tuple
     a21: tuple
     a22: tuple
-
-    def full(self) -> np.ndarray:
-        return np.array([r + s for top, bot in ((self.a11, self.a12),
-                                                (self.a21, self.a22))
-                         for r, s in zip(top, bot)], dtype=complex)
-
-    @classmethod
-    def from_full(cls, A) -> "Block4":
-        rows = np.asarray(A, dtype=complex).tolist()
-        return cls(*(tuple(tuple(r[j:j + 2]) for r in rows[i:i + 2])
-                     for i in (0, 2) for j in (0, 2)))
 
 
 def moebius(A: Block4, L: tuple) -> tuple:

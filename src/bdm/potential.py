@@ -1,18 +1,11 @@
-"""Potential representations and the two exact oracles.
+"""Potential representations, the piece routine and the Delta scale.
 
-The free (V = 0) problem has closed-form solutions built from the pair
-
-    f(z,s,a,b) = z sin(a) sin(b) sin(sqrt(z) s) + sqrt(z) sin(a+b) cos(sqrt(z) s)
-                 - cos(a) cos(b) sin(sqrt(z) s),
-    g(z,s,a,b) = f(z,s,a+pi/2,b),
-
-from which the free boundary data map and Green's function follow.  The
-second oracle covers piecewise-constant potentials, where the propagator of
-the Schrodinger equation on each piece is an explicit trig/hyperbolic
-rotation with wavenumber sqrt(z - v).  Both are built on trig_piece, the
-one piece routine, which odecore also propagates with; it returns the
-rotation with e^|Im k d| pulled out, so f, g and transfer products are
-formed as mantissas and log scales that cannot overflow.
+A potential is a PotentialSpec: zero, piecewise constant or sampled
+(piecewise linear), split into pieces (a, b, va, vb) by one property.  On
+a piece where V = v the Schrodinger equation propagates by an explicit
+trig/hyperbolic rotation with wavenumber sqrt(z - v); trig_piece, the one
+piece routine, returns it with e^|Im k d| pulled out, so odecore forms
+transfer products as mantissas and log scales that cannot overflow.
 
 sqrt(z) is always taken with Im >= 0 (nonnegative real root for z >= 0);
 every module shares this branch.
@@ -25,8 +18,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import AccuracyError, DomainError, EigenvalueHitError
-from .traces import EYE2, mat_mul
+from .errors import AccuracyError, DomainError
 
 
 def sqrt_upper(z: complex) -> complex:
@@ -76,33 +68,6 @@ def unscale(m: complex, log_scale: float, z=None, x=None) -> complex:
     return v
 
 
-def _f_scaled(z: complex, s: float, alpha: complex, beta: complex) -> tuple:
-    """f(z,s,alpha,beta)/sqrt(z) = m e^g as (m, g), g = Im sqrt(z) s."""
-    sa, sb = cmath.sin(alpha), cmath.sin(beta)
-    ca, cb = cmath.cos(alpha), cmath.cos(beta)
-    c, snc, g = trig_piece(z, s)
-    return z * sa * sb * snc + cmath.sin(alpha + beta) * c - ca * cb * snc, g
-
-
-def _f_reduced(z: complex, s: float, alpha: complex, beta: complex) -> complex:
-    """f(z,s,alpha,beta)/sqrt(z): entire in z, safe at z = 0."""
-    return unscale(*_f_scaled(z, s, alpha, beta))
-
-
-def _g_reduced(z: complex, s: float, alpha: complex, beta: complex) -> complex:
-    return _f_reduced(z, s, alpha + math.pi / 2.0, beta)
-
-
-def closed_form_f(z: complex, s: float, alpha: complex, beta: complex) -> complex:
-    """The generating function of the free problem; symmetric in (alpha, beta)."""
-    return sqrt_upper(z) * _f_reduced(z, s, alpha, beta)
-
-
-def closed_form_g(z: complex, s: float, alpha: complex, beta: complex) -> complex:
-    """closed_form_f with alpha advanced by pi/2."""
-    return sqrt_upper(z) * _g_reduced(z, s, alpha, beta)
-
-
 @dataclass(frozen=True)
 class PotentialSpec:
     """A representative of V in L^1((0, R)); possibly complex-valued.
@@ -110,8 +75,8 @@ class PotentialSpec:
     kind is one of "zero", "piecewise_constant", "sampled".  Piecewise
     specs carry strictly increasing interior breakpoints and one value per
     piece; sampled specs carry a strictly increasing grid spanning [0, R]
-    with piecewise-linear interpolation.  At a breakpoint the right-limit
-    value is returned (fixed tie-break so tests are deterministic).
+    with piecewise-linear interpolation.  A field the kind does not use
+    must be left empty.
     """
 
     kind: str
@@ -126,9 +91,15 @@ class PotentialSpec:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.R <= 0.0 or not math.isfinite(self.R):
             raise DomainError("interval length R must be positive and finite")
-        if self.kind == "zero":
-            pass
-        elif self.kind == "piecewise_constant":
+        unused = {"zero": ("breakpoints", "values", "grid"),
+                  "piecewise_constant": ("grid",),
+                  "sampled": ("breakpoints",)}
+        if not isinstance(self.kind, str) or self.kind not in unused:
+            raise DomainError(f"unknown potential kind {self.kind!r}")
+        for name in unused[self.kind]:
+            if getattr(self, name):
+                raise DomainError(f"a {self.kind} potential takes no {name}")
+        if self.kind == "piecewise_constant":
             bp = self.breakpoints
             if any(not (0.0 < b < self.R) for b in bp):
                 raise DomainError("breakpoints must lie inside (0, R)")
@@ -144,8 +115,6 @@ class PotentialSpec:
                 raise DomainError("sampled grid must be strictly increasing")
             if len(self.values) != len(g):
                 raise DomainError("need one sample per grid point")
-        else:
-            raise DomainError(f"unknown potential kind {self.kind!r}")
         if any(not (math.isfinite(complex(v).real) and math.isfinite(complex(v).imag))
                for v in self.values):
             raise DomainError("potential values must be finite")
@@ -194,18 +163,6 @@ class PotentialSpec:
         return parts
 
 
-def eval_potential(V: PotentialSpec, x: float) -> complex:
-    """Pointwise value of the chosen representative of V (right limits at
-    breakpoints)."""
-    if not 0.0 <= x <= V.R:
-        raise DomainError(f"x = {x} outside [0, {V.R}]")
-    a, b, va, vb = next(p for p in reversed(V.pieces) if p[0] <= x)
-    if va == vb:
-        return complex(va)
-    t = (x - a) / (b - a)
-    return complex(va * (1.0 - t) + vb * t)
-
-
 def log_delta_scale(z: complex, R: float, theta0: complex,
                     thetaR: complex) -> float:
     """log of the natural magnitude scale of Delta away from its zeros.
@@ -238,56 +195,3 @@ def is_near_eigenvalue(delta: complex, z: complex, R: float, theta0: complex,
         return True
     return math.log(abs(delta)) + log_scale < (
         math.log(floor) + log_delta_scale(z, R, theta0, thetaR))
-
-
-def _raise_if_free_eigenvalue(fr: complex, g: float, z: complex, R: float,
-                              theta0: complex, thetaR: complex) -> None:
-    # fr e^g is the entire part f/sqrt(z) = -Delta of the free problem
-    if is_near_eigenvalue(fr, z, R, theta0, thetaR, 1e-12, g):
-        raise EigenvalueHitError(
-            f"z = {z} is an eigenvalue of the free operator with angles "
-            f"({theta0}, {thetaR})", z=z, operator="H0")
-
-
-def oracle_bdmap_zero(z: complex, R: float, theta0: complex,
-                      thetaR: complex) -> tuple:
-    """Exact Robin-to-Robin map of the free problem (entries g/f, -sqrt(z)/f,
-    written through the entire parts so z = 0 is a removable point).  f and
-    g share the scale e^(Im sqrt(z) R), so only the off-diagonal sees it."""
-    fr, g = _f_scaled(z, R, theta0, thetaR)
-    _raise_if_free_eigenvalue(fr, g, z, R, theta0, thetaR)
-    m11 = _f_scaled(z, R, theta0 + math.pi / 2.0, thetaR)[0] / fr
-    m22 = _f_scaled(z, R, thetaR + math.pi / 2.0, theta0)[0] / fr
-    off = -math.exp(-g) / fr
-    return ((m11, off), (off, m22))
-
-
-def oracle_green_zero(z: complex, R: float, theta0: complex, thetaR: complex,
-                      x: float, xp: float) -> complex:
-    """Exact Green's function of the free problem, with the scales of its
-    three f factors netted before they are applied."""
-    if not (0.0 <= x <= R and 0.0 <= xp <= R):
-        raise DomainError("x, x' must lie in [0, R]")
-    fr, g = _f_scaled(z, R, theta0, thetaR)
-    _raise_if_free_eigenvalue(fr, g, z, R, theta0, thetaR)
-    lo, hi = (x, xp) if x <= xp else (xp, x)
-    f_lo, g_lo = _f_scaled(z, lo, theta0, 0.0)
-    f_hi, g_hi = _f_scaled(z, R - hi, 0.0, thetaR)
-    return -f_lo * f_hi / fr * math.exp(g_lo + g_hi - g)
-
-
-def transfer_matrix_piecewise(V: PotentialSpec, z: complex, a: float,
-                              b: float) -> tuple:
-    """Exact 2x2 propagator T with (u(b), u'(b))^T = T (u(a), u'(a))^T for
-    piecewise-constant V; det T = 1.  AccuracyError when an entry does not
-    fit in a double."""
-    if any(va != vb for _, _, va, vb in V.pieces):
-        raise DomainError("transfer matrices require a piecewise-constant potential")
-    if not (0.0 <= a <= b <= V.R):
-        raise DomainError("need 0 <= a <= b <= R")
-    T, log_scale = EYE2, 0.0
-    for lo, hi, (_, _, v, _) in V.span(a, b):
-        c, s, beta = trig_piece(z - v, hi - lo)
-        T = mat_mul(((c, s), ((v - z) * s, c)), T)
-        log_scale += beta
-    return tuple(tuple(unscale(t, log_scale, z, b) for t in row) for row in T)

@@ -19,20 +19,20 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from ._lazy import np
 from .bdmap import bdmap_robin, m_functions_from_fs
 from .errors import DegenerateError, DomainError, PoleHitError
 from .odecore import (DEFAULT_TOL, _check_R, _propagate_vec, char_det,
                       solution)
 from .potential import PotentialSpec
 from .resolvent import green_evaluator
-from .traces import AnglePair, mat_mul, normalize_strip
+from .traces import AnglePair, normalize_strip
 
 
 @dataclass(frozen=True)
 class WTMatrix:
     """M_alpha(z, x0): entries ((m11, m12), (m21, m22)) as Python complex
-    numbers, and matrix, the same as a new 2x2 array on each access."""
+    numbers, and matrix, the same as a new 2x2 numpy array on each access
+    (the one place, with BoundaryDataMap.matrix, that needs numpy)."""
 
     entries: tuple
     alpha: float
@@ -40,7 +40,8 @@ class WTMatrix:
     z: complex
 
     @property
-    def matrix(self) -> np.ndarray:
+    def matrix(self):
+        import numpy as np
         return np.array(self.entries, dtype=complex)
 
 
@@ -104,40 +105,6 @@ def wt_matrix(V: PotentialSpec, R: float, z: complex, x0: float,
     half = 0.5 * (mm + mp) / d
     return WTMatrix(((1.0 / d, half), (half, mm * mp / d)),
                     complex(alpha).real, x0, z)
-
-
-def _wedge_limits(gk, x0: float, h: float):
-    """(G, (d1+d2)G/..., d1 d2 G) at (x0, x0), from the x < x' wedge.
-
-    The symmetrized first derivative and the mixed second derivative are
-    evaluated at (x0 - d, x0 + d) by central differences inside the wedge
-    and extrapolated d -> 0 (one Richardson step on the linear term).
-    """
-    gdiag = gk(x0, x0)
-
-    def probes(d):
-        return (gk.d1(x0 - d, x0 + d) + gk.d2(x0 - d, x0 + d),
-                _fd_second_mixed(gk, x0 - d, x0 + d, h))
-
-    # quadratic extrapolation d -> 0 through d, 2d, 4d
-    s1, m1 = probes(3 * h)
-    s2, m2 = probes(6 * h)
-    s3, m3 = probes(12 * h)
-    sym = (8.0 * s1 - 6.0 * s2 + s3) / 3.0
-    mixed = (8.0 * m1 - 6.0 * m2 + m3) / 3.0
-    return gdiag, 0.5 * sym, mixed
-
-
-def wt_matrix_via_green(V: PotentialSpec, R: float, z: complex, x0: float,
-                        pair: AnglePair, alpha: float = 0.0,
-                        tol: float = DEFAULT_TOL) -> tuple:
-    """M_alpha assembled from the Green kernel only (finite differences on
-    the off-diagonal wedge), for cross-checking the m-function route."""
-    gk = green_evaluator(V, R, pair, z, tol)
-    g, sym, mixed = _wedge_limits(gk, x0, 1e-4)
-    c, s = math.cos(alpha), math.sin(alpha)
-    return mat_mul(((c, s), (-s, c)), ((g, sym), (sym, mixed)),
-                   ((c, -s), (s, c)))
 
 
 def _fd_second_mixed(gk, x: float, xp: float, h: float) -> complex:

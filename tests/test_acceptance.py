@@ -1,13 +1,12 @@
 """Acceptance criteria, one test per criterion, each printing a pass/fail
 line with its measured figure.
 
-Expected values come from independent oracles: the free-problem closed
-forms (evaluated here through the f/g generating functions), exact
-piecewise transfer matrices, and frozen constants computed from
-sinh/cosh expressions.
+Expected values come from independent references: the mpmath trig and
+Airy propagators of perfbench/oracles.py (which imports no bdm) with the
+maps, Green's functions and M_alpha built from them by definition, and
+frozen constants computed from sinh/cosh expressions.
 """
 
-import cmath
 import math
 import time
 
@@ -18,14 +17,12 @@ from bdm.bdmap import (asymptotic_reference, bdmap_general, bdmap_robin,
 from bdm.errors import NumericalError
 from bdm.lft import block_relations_residual, connector, lft_residuals
 from bdm.odecore import fundamental_system
-from bdm.potential import (PotentialSpec, closed_form_f, closed_form_g,
-                           oracle_bdmap_zero, oracle_green_zero, sqrt_upper,
-                           transfer_matrix_piecewise)
+from bdm.potential import PotentialSpec
 from bdm.resolvent import green_evaluator, krein_kernel, lambda_times_s
 from bdm.spectrum import count_zeros_rectangle, eig_selfadjoint
 from bdm.traces import AnglePair, AngleQuad, diag_sin, quad
 from bdm.verify import run_suite
-from bdm.weyl import green_link_check, wt_matrix, wt_matrix_via_green
+from bdm.weyl import green_link_check, wt_matrix
 
 R = math.pi
 VFREE = PotentialSpec.zero(R)
@@ -39,47 +36,36 @@ def _report(name, ok, detail):
     print(f"[acceptance] {name}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
-def _general_oracle_zero(z, Rlen, q):
-    """Free-problem general map assembled from the f generating function."""
-    t0, tR = q.base.theta0, q.base.thetaR
-    t0p, tRp = q.primed.theta0, q.primed.thetaR
-    den = closed_form_f(z, Rlen, t0, tR)
-    rt = sqrt_upper(z)
-    return np.array(
-        [[closed_form_f(z, Rlen, t0p, tR) / den,
-          -rt * cmath.sin(t0p - t0) / den],
-         [-rt * cmath.sin(tRp - tR) / den,
-          closed_form_f(z, Rlen, t0, tRp) / den]], dtype=complex)
-
-
-def test_criterion_1_free_oracle_equivalence():
+def test_criterion_1_free_oracle_equivalence(oracles):
     t_start = time.time()
     pairs = [AnglePair(0.0, 0.0), AnglePair(math.pi / 3, math.pi / 4),
              AnglePair(1.2, 2.8), AnglePair(2.0, 5.5), AnglePair(0.0, 1.1)]
     zs = [-1.0, 1j, 2.0 + 1.3j, -0.7 + 0.4j, 3.6 + 2.0j]
     xs = [0.3, 1.0, 1.6, 2.3, 2.9]
+    pieces = oracles.pieces_of("zero", R)
     worst = 0.0
     for p in pairs:
         for z in zs:
-            lam = bdmap_robin(VFREE, R, p, z).matrix
-            oracle = oracle_bdmap_zero(z, R, p.theta0, p.thetaR)
-            scale = max(1.0, float(np.max(np.abs(oracle))))
-            worst = max(worst, float(np.max(np.abs(lam - oracle))) / scale)
-            q = AngleQuad(p, AnglePair(p.theta0 + 0.9, p.thetaR + 2.2))
-            lam_g = bdmap_general(VFREE, R, q, z).matrix
-            oracle_g = _general_oracle_zero(z, R, q)
-            scale = max(1.0, float(np.max(np.abs(oracle_g))))
-            worst = max(worst, float(np.max(np.abs(lam_g - oracle_g))) / scale)
+            robin = AngleQuad(p, p.robin_primed())
+            general = AngleQuad(p, AnglePair(p.theta0 + 0.9, p.thetaR + 2.2))
+            refs = [oracles.bdmap_ref(pieces, R, (q.base.theta0, q.base.thetaR,
+                                                  q.primed.theta0,
+                                                  q.primed.thetaR), z)
+                    for q in (robin, general)]
+            for q, oracle in zip((robin, general), refs):
+                lam = bdmap_general(VFREE, R, q, z).matrix
+                scale = max(1.0, float(np.max(np.abs(oracle))))
+                worst = max(worst, float(np.max(np.abs(lam - oracle))) / scale)
+            # the Robin map's diagonal is (m+, -m-)
+            mp_o, mm_o = refs[0][0, 0], -refs[0][1, 1]
             mp = m_plus(VFREE, R, p.theta0, p.thetaR, z)
             mm = m_minus(VFREE, R, p.theta0, p.thetaR, z)
-            fden = closed_form_f(z, R, p.theta0, p.thetaR)
-            mp_o = closed_form_g(z, R, p.theta0, p.thetaR) / fden
-            mm_o = -closed_form_g(z, R, p.thetaR, p.theta0) / fden
             worst = max(worst, abs(mp - mp_o) / max(1.0, abs(mp_o)),
                         abs(mm - mm_o) / max(1.0, abs(mm_o)))
             gk = green_evaluator(VFREE, R, p, z)
+            ref = oracles.Interior(pieces, R, z, p.theta0, p.thetaR, xs)
             for x, xp in zip(xs, reversed(xs)):
-                g_o = oracle_green_zero(z, R, p.theta0, p.thetaR, x, xp)
+                g_o = ref.green(x, xp)
                 worst = max(worst, abs(gk(x, xp) - g_o) / max(1.0, abs(g_o)))
     elapsed = time.time() - t_start
     ok = worst < 1e-8 and elapsed < 30.0
@@ -89,7 +75,7 @@ def test_criterion_1_free_oracle_equivalence():
     assert elapsed < 30.0
 
 
-def test_criterion_2_piecewise_transfer_oracle():
+def test_criterion_2_piecewise_transfer_oracle(oracles):
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(50):
@@ -99,7 +85,10 @@ def test_criterion_2_piecewise_transfer_oracle():
         z = complex(rng.uniform(-6, 6), rng.uniform(-3, 3))
         fs = fundamental_system(V, z, R, tol=1e-12)
         M = np.array([[fs.theta, fs.phi], [fs.dtheta, fs.dphi]])
-        T = transfer_matrix_piecewise(V, z, 0.0, R)
+        pieces = oracles.pieces_of("piecewise_constant", R, cuts, vals)
+        with oracles.mp.workdps(oracles.dps_for(pieces, z)):
+            T = oracles.transfer_mp(pieces, z, 0.0, R)
+            T = np.array([[complex(T[i, j]) for j in (0, 1)] for i in (0, 1)])
         worst = max(worst, float(np.max(np.abs(M - T)) / np.max(np.abs(T))))
     ok = worst < 1e-9
     _report("criterion 2 (piecewise-constant transfer oracle)", ok,
@@ -294,7 +283,7 @@ def test_criterion_9_asymptotics():
             f"t=1e4: {figures[1e4]:.3e} < 0.05, t=1e6: {figures[1e6]:.3e} < 0.005")
 
 
-def test_criterion_10_wt_matrix_and_green_links():
+def test_criterion_10_wt_matrix_and_green_links(oracles):
     rng = np.random.default_rng(707)
     worst_det = 0.0
     done = 0
@@ -315,11 +304,17 @@ def test_criterion_10_wt_matrix_and_green_links():
               AnglePair(0.0, 0.0)):
         links = green_link_check(VREAL, R, p, 1j)
         worst_link = max(worst_link, max(links.values()))
+    # M_alpha against the Airy u-, u+; M_0 11 is G(x0, x0) exactly
+    z, x0, p = 0.8 + 1.1j, 1.7, AnglePair(0.7, 2.3)
+    pieces = oracles.pieces_of("sampled", R, values=VREAL.values,
+                               grid=VREAL.grid)
+    ref = oracles.Interior(pieces, R, z, p.theta0, p.thetaR, [x0])
     for alpha in (0.0, 0.6, 1.4):
-        M = wt_matrix(VREAL, R, 0.8 + 1.1j, 1.7, AnglePair(0.7, 2.3), alpha)
-        Mg = wt_matrix_via_green(VREAL, R, 0.8 + 1.1j, 1.7,
-                                 AnglePair(0.7, 2.3), alpha)
-        worst_link = max(worst_link, float(np.max(np.abs(M.matrix - Mg))))
+        M = wt_matrix(VREAL, R, z, x0, p, alpha).matrix
+        expect = oracles.wt_matrix_ref(*ref.log_derivs(x0), alpha)
+        worst_link = max(worst_link, float(np.max(np.abs(M - expect))))
+    m11 = wt_matrix(VREAL, R, z, x0, p).entries[0][0]
+    worst_link = max(worst_link, abs(m11 - green_evaluator(VREAL, R, p, z)(x0, x0)))
     ok = worst_det < 1e-10 and worst_link < 1e-6
     _report("criterion 10 (det M_alpha = -1/4 and Green links)", ok,
             f"det residual {worst_det:.3e} (500 draws), links {worst_link:.3e}")

@@ -11,7 +11,7 @@ from bdm.bdmap import (asymptotic_reference, bdmap_general, bdmap_robin,
                        herglotz_imag, m_minus, m_plus, measure_point_mass)
 from bdm.errors import DomainError, EigenvalueHitError
 from bdm.odecore import fundamental_system
-from bdm.potential import PotentialSpec, oracle_bdmap_zero, sqrt_upper
+from bdm.potential import PotentialSpec, sqrt_upper
 from bdm.traces import AnglePair, AngleQuad, diag_sin, quad
 
 SINH_PI = 11.548739357257748
@@ -74,21 +74,26 @@ def test_group_laws_random_quads():
         assert np.max(np.abs(linv @ l1 - np.eye(2))) < 1e-9
 
 
-def test_robin_map_matches_free_oracle_random():
+def _robin_ref(oracles, z, t0, tR):
+    return oracles.bdmap_ref(oracles.pieces_of("zero", R), R,
+                             (t0, tR, t0 + math.pi / 2, tR + math.pi / 2), z)
+
+
+def test_robin_map_matches_free_oracle_random(oracles):
     rng = np.random.default_rng(31)
     for _ in range(10):
         t0, tR = rng.uniform(0, 2 * math.pi, 2)
         z = complex(rng.uniform(-3, 5), rng.uniform(0.4, 2.0))
         lam = bdmap_robin(VFREE, R, AnglePair(t0, tR), z).matrix
-        oracle = oracle_bdmap_zero(z, R, t0, tR)
+        oracle = _robin_ref(oracles, z, t0, tR)
         assert np.max(np.abs(lam - oracle)) < 1e-8 * max(1.0, np.max(np.abs(oracle)))
 
 
-def test_map_evaluates_on_auxiliary_spectrum():
+def test_map_evaluates_on_auxiliary_spectrum(oracles):
     # z = 1 is an eigenvalue of the Dirichlet auxiliary problem that
     # normalizes u-; the map itself is regular there and must evaluate
     lam = bdmap_robin(VFREE, R, AnglePair(0.0, math.pi / 4), 1.0).matrix
-    oracle = oracle_bdmap_zero(1.0, R, 0.0, math.pi / 4)
+    oracle = _robin_ref(oracles, 1.0, 0.0, math.pi / 4)
     assert np.max(np.abs(lam - oracle)) < 1e-9 * max(1.0, np.max(np.abs(oracle)))
 
 

@@ -33,6 +33,18 @@ def _rand_block(rng):
     return Block4(*(_rand2(rng) for _ in range(4)))
 
 
+def _full(A):
+    """The 4x4 array of a Block4."""
+    return np.block([[np.array(A.a11), np.array(A.a12)],
+                     [np.array(A.a21), np.array(A.a22)]])
+
+
+def _blocks(M):
+    """The Block4 of a 4x4 array."""
+    return Block4(_tup(M[:2, :2]), _tup(M[:2, 2:]), _tup(M[2:, :2]),
+                  _tup(M[2:, 2:]))
+
+
 def test_moebius_identity():
     rng = np.random.default_rng(2)
     L = _rand2(rng)
@@ -47,14 +59,14 @@ def test_moebius_composition_and_inverse():
         if np.linalg.cond(np.add(B.a11, np.array(B.a12) @ L)) > 1e6:
             continue
         inner = moebius(B, L)
-        AB = Block4.from_full(A.full() @ B.full())
+        AB = _blocks(_full(A) @ _full(B))
         if np.linalg.cond(np.add(AB.a11, np.array(AB.a12) @ L)) > 1e6:
             continue
         lhs = np.array(moebius(AB, L))
         rhs = np.array(moebius(A, inner))
         scale = max(1.0, float(np.max(np.abs(lhs))))
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * scale
-        Ainv = Block4.from_full(np.linalg.inv(A.full()))
+        Ainv = _blocks(np.linalg.inv(_full(A)))
         back = np.array(moebius(Ainv, moebius(A, L)))
         assert np.max(np.abs(back - L)) < 1e-10 * max(1.0, np.max(np.abs(L)))
 
@@ -79,7 +91,7 @@ def test_connector_membership_and_inverse():
             continue
         A = connector(qa, qb)
         assert block_relations_residual(A) < 1e-12
-        Ainv = Block4.from_full(np.linalg.inv(A.full()))
+        Ainv = _blocks(np.linalg.inv(_full(A)))
         assert block_relations_residual(Ainv) < 1e-10
 
 
@@ -88,15 +100,15 @@ def test_left_inverse_is_right_inverse():
     # both sides
     A = connector(quad(0.9, 0.4, 2.0, 5.0), quad(0.0, 0.0, math.pi / 2, math.pi / 2))
     adj = [np.array(b).conj().T for b in (A.a11, A.a12, A.a21, A.a22)]
-    left = Block4.from_full(np.block([[adj[3], -adj[1]], [-adj[2], adj[0]]]))
-    assert np.max(np.abs(left.full() @ A.full() - np.eye(4))) < 1e-12
-    assert np.max(np.abs(A.full() @ left.full() - np.eye(4))) < 1e-12
+    left = np.block([[adj[3], -adj[1]], [-adj[2], adj[0]]])
+    assert np.max(np.abs(left @ _full(A) - np.eye(4))) < 1e-12
+    assert np.max(np.abs(_full(A) @ left - np.eye(4))) < 1e-12
 
 
 def test_connector_identity_quad():
     q = quad(0.0, 0.0, math.pi / 2, math.pi / 2)
     A = connector(q, q)
-    assert np.max(np.abs(A.full() - np.eye(4))) < 1e-15
+    assert np.max(np.abs(_full(A) - np.eye(4))) < 1e-15
 
 
 def test_connector_rejects_degenerate_and_complex():

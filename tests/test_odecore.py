@@ -14,9 +14,7 @@ from bdm.bdmap import (asymptotic_reference, bdmap_general, bdmap_robin,
 from bdm.errors import AccuracyError
 from bdm.odecore import (CauchyData, char_det, delta_from_fs,
                          fundamental_system, propagate)
-from bdm.potential import (PotentialSpec, is_near_eigenvalue,
-                           oracle_bdmap_zero, sqrt_upper,
-                           transfer_matrix_piecewise)
+from bdm.potential import PotentialSpec, is_near_eigenvalue, sqrt_upper
 from bdm.resolvent import green, green_evaluator, krein_correction
 from bdm.spectrum import count_zeros_rectangle, eig_rectangle, eig_selfadjoint
 from bdm.traces import AnglePair, quad, trace_gamma
@@ -45,7 +43,7 @@ def test_propagate_leftward():
     assert d.u == pytest.approx(math.sin(0.5), abs=1e-9)
 
 
-def test_propagate_matches_transfer_matrix():
+def test_propagate_matches_transfer_matrix(oracles):
     rng = np.random.default_rng(5)
     for _ in range(12):
         cuts = np.sort(rng.uniform(0.3, 2.7, 2))
@@ -54,7 +52,11 @@ def test_propagate_matches_transfer_matrix():
         z = complex(rng.uniform(-4, 4), rng.uniform(-2, 2))
         u0, du0 = rng.normal(size=2) + 1j * rng.normal(size=2)
         d = propagate(V, z, CauchyData(u0, du0, 0.0), 3.0, tol=1e-12)
-        expect = transfer_matrix_piecewise(V, z, 0.0, 3.0) @ np.array([u0, du0])
+        pieces = oracles.pieces_of("piecewise_constant", 3.0, cuts, vals)
+        with oracles.mp.workdps(oracles.dps_for(pieces, z)):
+            T = oracles.transfer_mp(pieces, z, 0.0, 3.0)
+            T = np.array([[complex(T[i, j]) for j in (0, 1)] for i in (0, 1)])
+        expect = T @ np.array([u0, du0])
         scale = max(abs(expect[0]), abs(expect[1]))
         assert abs(d.u - expect[0]) < 1e-9 * scale
         assert abs(d.du - expect[1]) < 1e-9 * scale
@@ -385,12 +387,14 @@ def test_exact_maps_match_dp54(pieces, angles, log_r, arg):
     assert np.max(np.abs(got - expect)) <= 1e-8 * np.max(np.abs(expect))
 
 
-def test_large_z_maps_are_finite_and_right():
+def test_large_z_maps_are_finite_and_right(oracles):
     # both returned NaN when the exact path was DP54
     R = math.pi
     pair = AnglePair(1.0, 0.7)
     lam = bdmap_robin(PotentialSpec.zero(R), R, pair, 1e6j).matrix
-    oracle = oracle_bdmap_zero(1e6j, R, 1.0, 0.7)
+    oracle = oracles.bdmap_ref(oracles.pieces_of("zero", R), R,
+                               (1.0, 0.7, 1.0 + math.pi / 2, 0.7 + math.pi / 2),
+                               1e6j)
     assert np.all(np.isfinite(lam))
     assert np.max(np.abs(lam - oracle)) < 1e-10 * np.max(np.abs(oracle))
     ref = asymptotic_reference(pair, 1e6j, R)

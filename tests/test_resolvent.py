@@ -10,7 +10,7 @@ from numpy.polynomial.legendre import leggauss
 
 from bdm.bdmap import bdmap_general
 from bdm.errors import EigenvalueHitError
-from bdm.potential import PotentialSpec, oracle_green_zero
+from bdm.potential import PotentialSpec
 from bdm.resolvent import (adjoint_trace_kernel, gamma_resolvent_rows, green,
                            green_evaluator, krein_correction, krein_kernel,
                            lambda_times_s)
@@ -25,6 +25,12 @@ VCPLX = PotentialSpec.sampled([0.0, 1.0, 2.2, R],
                               [0.3 + 0.2j, -1.0 + 0.5j, 0.8, 0.1 - 0.4j], R)
 
 GREEN_FROZEN = math.sinh(math.pi / 4) * math.sinh(math.pi / 2) / math.sinh(math.pi)
+
+
+def free_green(oracles, z, pair, xs):
+    """G(x, x') of V = 0 at points of xs, from the oracles' trig solutions."""
+    return oracles.Interior(oracles.pieces_of("zero", R), R, z, pair.theta0,
+                            pair.thetaR, xs).green
 
 
 def test_green_frozen_free_dirichlet():
@@ -50,40 +56,42 @@ def test_green_satisfies_boundary_conditions():
     assert abs(gR) < 1e-9 * scale
 
 
-def test_green_matches_free_oracle_grid():
+def test_green_matches_free_oracle_grid(oracles):
     p = AnglePair(0.6, 1.9)
     z = 0.8 + 1.4j
     gk = green_evaluator(VFREE, R, p, z)
+    g = free_green(oracles, z, p, (0.0, 0.9, 2.2, R, 0.4, 1.7))
     for x in (0.0, 0.9, 2.2, R):
         for xp in (0.4, 1.7):
-            expect = oracle_green_zero(z, R, p.theta0, p.thetaR, x, xp)
+            expect = g(x, xp)
             assert gk(x, xp) == pytest.approx(expect, rel=1e-9, abs=1e-12)
 
 
 @pytest.mark.parametrize("z", [100j, 300j, 1000j])
-def test_green_large_imaginary_z_matches_free_oracle(z):
+def test_green_large_imaginary_z_matches_free_oracle(z, oracles):
     # Im sqrt(z) R up to 70: u+/- start from unit data, so the relative step
     # control holds however small the normalized u+/- become
     p = AnglePair(0.35, 0.75)
     g = green(VFREE, R, p, z, 1.3, 1.3).value
-    expect = oracle_green_zero(z, R, p.theta0, p.thetaR, 1.3, 1.3)
+    expect = free_green(oracles, z, p, [1.3])(1.3, 1.3)
     assert abs(g - expect) <= 1e-8 * abs(expect)
 
 
-def test_krein_correction_large_imaginary_z_matches_free_oracles():
+def test_krein_correction_large_imaginary_z_matches_free_oracles(oracles):
     # at z = 300i the correction near either endpoint is about 1e-3 of G,
-    # so the difference of the two closed forms is still a sharp reference
+    # so the difference of the two exact kernels is still a sharp reference
     base, primed = AnglePair(0.35, 0.75), AnglePair(1.5, 2.4)
     z = 300j
+    xs = (0.2, 0.3, 2.9)
+    g0, g1 = (free_green(oracles, z, p, xs) for p in (base, primed))
     for x, xp in ((0.2, 0.3), (2.9, 2.9)):
         c = krein_correction(VFREE, R, base, primed, z, x, xp)
-        expect = (oracle_green_zero(z, R, base.theta0, base.thetaR, x, xp)
-                  - oracle_green_zero(z, R, primed.theta0, primed.thetaR, x, xp))
+        expect = g0(x, xp) - g1(x, xp)
         assert abs(c - expect) <= 1e-8 * abs(expect)
 
 
 
-def test_krein_correction_where_the_scale_underflows():
+def test_krein_correction_where_the_scale_underflows(oracles):
     # at z = 1e6i, e^-(Im sqrt(z) R) underflows: u-(0), u+(R) and W are
     # formed as mantissas with their scales netted
     base, primed = AnglePair(0.35, 0.75), AnglePair(1.5, 2.4)
@@ -93,11 +101,12 @@ def test_krein_correction_where_the_scale_underflows():
     g = green(VFREE, R, base, z, 1.3, 1.3).value
     assert cmath.isfinite(c) and abs(c) <= 1e-12 * abs(g)
     # near either endpoint the correction is about 1e-3 of G
+    xs = (0.001, 0.002, 3.14, 3.141)
+    g0, g1 = (free_green(oracles, z, p, xs) for p in (base, primed))
     for x, xp in ((0.001, 0.002), (3.14, 3.141)):
         c = krein_correction(VFREE, R, base, primed, z, x, xp)
         g = green(VFREE, R, base, z, x, xp).value
-        expect = (oracle_green_zero(z, R, base.theta0, base.thetaR, x, xp)
-                  - oracle_green_zero(z, R, primed.theta0, primed.thetaR, x, xp))
+        expect = g0(x, xp) - g1(x, xp)
         assert abs(c - expect) <= 1e-10 * abs(g)
 
 
@@ -205,27 +214,26 @@ KREIN_CASES = [
 
 
 @pytest.mark.parametrize("base,primed", KREIN_CASES)
-def test_krein_against_free_oracle(base, primed):
+def test_krein_against_free_oracle(base, primed, oracles):
     z = 1j
     xs = [0.0, 0.6, 1.3, 2.1, 2.8]
+    g0, g1 = (free_green(oracles, z, p, xs) for p in (base, primed))
     worst = 0.0
     for x in xs:
         for xp in xs:
-            g0 = oracle_green_zero(z, R, base.theta0, base.thetaR, x, xp)
-            g1 = oracle_green_zero(z, R, primed.theta0, primed.thetaR, x, xp)
             c = krein_correction(VFREE, R, base, primed, z, x, xp)
-            worst = max(worst, abs(g1 - (g0 - c)))
+            worst = max(worst, abs(g1(x, xp) - (g0(x, xp) - c)))
     assert worst < 1e-8
 
 
-def test_krein_boundary_value_mismatch():
+def test_krein_boundary_value_mismatch(oracles):
     # Dirichlet base kernel vanishes at x = 0; the correction carries the
     # primed kernel's boundary value
     base, primed = AnglePair(0.0, 0.0), AnglePair(1.1, 0.0)
     z = 1j
     xp = 1.7
     c = krein_correction(VFREE, R, base, primed, z, 0.0, xp)
-    g1 = oracle_green_zero(z, R, primed.theta0, primed.thetaR, 0.0, xp)
+    g1 = free_green(oracles, z, primed, (0.0, xp))(0.0, xp)
     assert c == pytest.approx(-g1, rel=1e-8)
 
 
@@ -275,14 +283,16 @@ def test_on_spectrum_is_eigenvalue_hit(case, call):
     assert err.value.operator == f"H_{{{pair.theta0},{pair.thetaR}}}"
 
 
-def test_auxiliary_eigenvalue_free_matches_closed_forms():
+def test_auxiliary_eigenvalue_free_matches_closed_forms(oracles):
     # mu (about 1.22064) is an eigenvalue of H_{0.3,0} only: G, the Krein
     # correction, M_alpha and the Robin-map/Green links all hold there
     pair, primed = AnglePair(0.3, 0.7), AnglePair(1.5, 2.4)
     mu = eig_selfadjoint(VFREE, R, AnglePair(0.3, 0.0), 2).eigenvalues[1].real
+    xs = (0.5, 1.0, 1.3, 2.0, 2.2, 2.7)
+    kernels = {p: free_green(oracles, mu, p, xs) for p in (pair, primed)}
 
     def g(p, x, xp):
-        return oracle_green_zero(mu, R, p.theta0, p.thetaR, x, xp)
+        return kernels[p](x, xp)
 
     for x, xp in ((1.0, 2.0), (1.3, 1.3), (0.5, 2.7)):
         assert green(VFREE, R, pair, mu, x, xp).value == pytest.approx(

@@ -7,11 +7,10 @@ import pytest
 
 from bdm.bdmap import m_minus, m_plus
 from bdm.errors import DomainError, PoleHitError
-from bdm.potential import PotentialSpec, _f_reduced, _g_reduced
+from bdm.potential import PotentialSpec
 from bdm.resolvent import green_evaluator
 from bdm.traces import AnglePair
-from bdm.weyl import (green_link_check, interior_m, wt_m, wt_matrix,
-                      wt_matrix_via_green)
+from bdm.weyl import green_link_check, interior_m, wt_m, wt_matrix
 
 R = math.pi
 VFREE = PotentialSpec.zero(R)
@@ -42,16 +41,17 @@ def test_wt_m_angle_lft():
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
-def test_interior_m_free_closed_forms():
+def test_interior_m_free_closed_forms(oracles):
     z = 0.9 + 1.2j
     x0 = 1.234
     tR, t0 = 0.4, 0.9
+    pieces = oracles.pieces_of("zero", R)
+    # the log-derivatives u-'/u-, u+'/u+ at x0 of the trig solutions
+    mm0, mp0 = oracles.Interior(pieces, R, z, t0, tR, [x0]).log_derivs(x0)
     mi = interior_m(VFREE, R, z, x0, +1, AnglePair(0.0, tR))
-    expect = _g_reduced(z, R - x0, 0.0, tR) / _f_reduced(z, R - x0, 0.0, tR)
-    assert mi == pytest.approx(expect, rel=1e-9)
+    assert mi == pytest.approx(mp0, rel=1e-9)
     mi = interior_m(VFREE, R, z, x0, -1, AnglePair(t0, 0.0))
-    expect = -_g_reduced(z, x0, 0.0, t0) / _f_reduced(z, x0, 0.0, t0)
-    assert mi == pytest.approx(expect, rel=1e-9)
+    assert mi == pytest.approx(mm0, rel=1e-9)
 
 
 def test_interior_m_alpha_zero_is_log_derivative():
@@ -128,14 +128,17 @@ def test_wt_matrix_herglotz():
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.4])
-def test_wt_matrix_green_identities(alpha):
-    # the three M_alpha entries against wedge finite differences of G
+def test_wt_matrix_green_identities(alpha, oracles):
+    # M_alpha against the one built from the Airy u-, u+ by definition
     z = 0.8 + 1.1j
     x0 = 1.7
     pair = AnglePair(0.7, 2.3)
-    M = wt_matrix(VREAL, R, z, x0, pair, alpha)
-    Mg = wt_matrix_via_green(VREAL, R, z, x0, pair, alpha)
-    assert np.max(np.abs(M.matrix - Mg)) < 1e-6
+    pieces = oracles.pieces_of("sampled", R, values=VREAL.values,
+                               grid=VREAL.grid)
+    ref = oracles.Interior(pieces, R, z, pair.theta0, pair.thetaR, [x0])
+    M = wt_matrix(VREAL, R, z, x0, pair, alpha).matrix
+    expect = oracles.wt_matrix_ref(*ref.log_derivs(x0), alpha)
+    assert np.max(np.abs(M - expect)) < 1e-8 * np.max(np.abs(expect))
 
 
 def test_green_links_robin():
