@@ -1,9 +1,10 @@
 """Eigenvalue localization as zeros of the characteristic determinant.
 
-All searches run on the mantissa of Delta (odecore.delta_from_fs): a
-positive factor e^-log_scale away from Delta, so it has the same zeros, the
-same phase and, on the real axis, the same sign, and it stays finite where
-Delta itself would overflow.
+All searches run on the mantissa of Delta = W(~u+, ~u-), which needs ~u-
+alone, ~u+ having unit data at R: Delta = cos thetaR ~u-(R) - sin thetaR
+~u-'(R).  The mantissa is a positive factor e^-log_scale away from Delta, so
+it has the same zeros, the same phase and, on the real axis, the same sign,
+and it stays finite where Delta itself would overflow.
 
 Self-adjoint case: the Prufer angle theta(R; E) of ~u- counts the N(E)
 eigenvalues below E (Sturm oscillation), so eigenvalue k is bracketed by
@@ -22,8 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ContourError, DomainError, SearchFailureError
-from .odecore import (DEFAULT_TOL, _check_R, _check_tol, _propagate_vec,
-                      delta_from_fs, solution)
+from .odecore import DEFAULT_TOL, _check_R, _check_tol, _propagate_vec
 from .potential import PotentialSpec, is_near_eigenvalue, unscale
 from .traces import AnglePair
 
@@ -40,15 +40,17 @@ class SpectrumResult:
 
 
 def _delta_fn(V: PotentialSpec, pair: AnglePair, tol: float):
-    """z -> (mantissa, log scale) of Delta(z; theta0, thetaR), memoized."""
+    """z -> (mantissa, log scale) of Delta(z; theta0, thetaR), memoized:
+    cos thetaR ~u-(R) - sin thetaR ~u-'(R), from one sweep of ~u- alone."""
+    y0 = (-cmath.sin(pair.theta0), cmath.cos(pair.theta0))
+    cR, sR = cmath.cos(pair.thetaR), cmath.sin(pair.thetaR)
     cache = {}
 
     def f(z):
         hit = cache.get(z)
         if hit is None:
-            fs = solution(V, z, tol).fs
-            hit = cache[z] = (delta_from_fs(fs, pair.theta0, pair.thetaR),
-                              fs.log_scale)
+            (u, du), log_scale = _propagate_vec(V, z, 0.0, y0, V.R, tol)
+            hit = cache[z] = (cR * u - sR * du, log_scale)
         return hit
 
     return f
@@ -115,7 +117,8 @@ def eig_selfadjoint(V: PotentialSpec, R: float, pair: AnglePair, n_max: int,
     _check_tol(tol)
     # N(E) and the Illinois pass only need signs: run them loose
     scan = max(tol, 1e-6)
-    f, f_scan = _delta_fn(V, pair, tol), _delta_fn(V, pair, scan)
+    f = _delta_fn(V, pair, tol)
+    f_scan = f if scan == tol else _delta_fn(V, pair, scan)
     beta = pair.thetaR.real % math.pi or math.pi
     angle = {}
 
@@ -288,7 +291,8 @@ def eig_rectangle(V: PotentialSpec, R: float, pair: AnglePair, rect,
     _check_R(V, R)
     _check_tol(tol)
     scan_tol = max(tol, 1e-6)
-    f, f_scan = _delta_fn(V, pair, tol), _delta_fn(V, pair, scan_tol)
+    f = _delta_fn(V, pair, tol)
+    f_scan = f if scan_tol == tol else _delta_fn(V, pair, scan_tol)
     min_size = 1e-8 * max(1.0, abs(re0), abs(re1))
 
     found = []  # (lambda, count in the isolating cell)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdm import odecore
+from bdm import odecore, spectrum
 from bdm.bdmap import bdmap_robin
 from bdm.errors import BdmError, DomainError
 from bdm.lft import Block4, moebius
@@ -134,7 +134,8 @@ def test_wild_inputs_give_finite_values_or_bdm_errors(t0, tR, g, corners,
 
     pair = AnglePair(0.3, 0.7)
     a, d, c, e = corners
-    with mock.patch.object(odecore, "_propagate_vec", counted):
+    with mock.patch.object(odecore, "_propagate_vec", counted), \
+            mock.patch.object(spectrum, "_propagate_vec", counted):
         try:
             PotentialSpec.sampled([0.0, g, 1.0], [0.0, 5.0, 0.0], 1.0)
         except DomainError:

@@ -564,10 +564,11 @@ def test_dp54_crosses_segment_below_minimum_step():
 @pytest.mark.parametrize("R", [2.0, 4.0])
 def test_R_other_than_the_potentials_rejected_before_any_propagation(
         call, R, monkeypatch):
-    from bdm import weyl
+    from bdm import spectrum, weyl
     from bdm.errors import DomainError
     calls = _record_propagations(monkeypatch)
     monkeypatch.setattr(weyl, "_propagate_vec", odecore._propagate_vec)
+    monkeypatch.setattr(spectrum, "_propagate_vec", odecore._propagate_vec)
     with pytest.raises(DomainError):
         call(PotentialSpec.zero(math.pi), R)
     assert calls == []

@@ -5,8 +5,9 @@ import math
 import pytest
 
 from bdm.errors import ContourError, DomainError, SearchFailureError
-from bdm.potential import PotentialSpec
-from bdm.spectrum import (count_zeros_rectangle, eig_rectangle,
+from bdm.odecore import char_det, delta_from_fs, fundamental_system
+from bdm.potential import PotentialSpec, unscale
+from bdm.spectrum import (_delta_fn, count_zeros_rectangle, eig_rectangle,
                           eig_selfadjoint)
 from bdm.traces import AnglePair
 
@@ -183,7 +184,8 @@ def test_deep_well_scan_finishes():
                                       (0.5, 5.0, -1.0, 1.0), tol),
 ], ids=["eig_selfadjoint", "eig_rectangle", "count_zeros_rectangle"])
 def test_bad_tol_rejected_before_any_propagation(search, tol, monkeypatch):
-    from bdm import odecore
+    # spectrum binds _propagate_vec by name: patch both bindings
+    from bdm import odecore, spectrum
     calls = []
     inner = odecore._propagate_vec
 
@@ -192,6 +194,7 @@ def test_bad_tol_rejected_before_any_propagation(search, tol, monkeypatch):
         return inner(*args)
 
     monkeypatch.setattr(odecore, "_propagate_vec", counted)
+    monkeypatch.setattr(spectrum, "_propagate_vec", counted)
     with pytest.raises(DomainError):
         search(tol)
     assert calls == []
@@ -241,32 +244,101 @@ def test_long_interval_finds_every_eigenvalue(oracles):
     _check_against_reference(oracles, V, AnglePair(0.3, 2.0), 20, 1e-10)
 
 
-def test_search_work_is_bounded(monkeypatch):
-    # shaped like the spectrum workload's sampled Robin n = 10 problem
-    from bdm import odecore, spectrum
-    V = PotentialSpec.sampled([0.0, 0.6, 1.2, 1.9, 2.5, math.pi],
-                              [-1.0, 0.5, 1.5, 0.0, -0.5, 1.0], math.pi)
-    tol, n = 1e-8, 10
-    counts, tight = [], []
-    inner_angle, inner_solution = spectrum._prufer_angle, spectrum.solution
+def test_long_sampled_interval_finds_every_eigenvalue(oracles):
+    # every piece is sloped: each Delta is a DP54 sweep across [0, 30]
+    V = PotentialSpec.sampled([0.0, 7.0, 15.0, 22.0, 30.0],
+                              [1.0, -2.0, 0.5, 3.0, 0.0], 30.0)
+    _check_against_reference(oracles, V, AnglePair(0.5, 1.0), 12, 1e-10)
+
+
+# shaped like the spectrum workload's sampled Robin n = 10 problem
+VROBIN = PotentialSpec.sampled([0.0, 0.6, 1.2, 1.9, 2.5, math.pi],
+                               [-1.0, 0.5, 1.5, 0.0, -0.5, 1.0], math.pi)
+
+
+def _record_search_work(monkeypatch):
+    """(angles, sweeps): each Prufer angle computed, and the (z, tol) of
+    each Delta sweep, that is each propagation made outside an angle."""
+    from bdm import spectrum
+    angles, sweeps, inside = [], [], []
+    inner_angle, inner_propagate = (spectrum._prufer_angle,
+                                    spectrum._propagate_vec)
 
     def angle(*args):
-        counts.append(args)
-        return inner_angle(*args)
+        angles.append(args)
+        inside.append(args)
+        try:
+            return inner_angle(*args)
+        finally:
+            inside.pop()
 
-    def solution(V, z, t):
-        if t == tol:
-            tight.append(z)
-        return inner_solution(V, z, t)
+    def propagate(V, z, x0, y0, x1, tol, *rest):
+        if not inside:
+            sweeps.append((z, tol))
+        return inner_propagate(V, z, x0, y0, x1, tol, *rest)
 
     monkeypatch.setattr(spectrum, "_prufer_angle", angle)
-    monkeypatch.setattr(spectrum, "solution", solution)
-    misses = odecore.solution.cache_info().misses
-    res = eig_selfadjoint(V, math.pi, AnglePair(0.9, 2.2), n, tol)
-    delta_solves = odecore.solution.cache_info().misses - misses
+    monkeypatch.setattr(spectrum, "_propagate_vec", propagate)
+    return angles, sweeps
+
+
+def test_search_work_is_bounded(monkeypatch):
+    tol, n = 1e-8, 10
+    angles, sweeps = _record_search_work(monkeypatch)
+    res = eig_selfadjoint(VROBIN, math.pi, AnglePair(0.9, 2.2), n, tol)
+    tight = [z for z, t in sweeps if t == tol]
     assert len(res) == n
-    assert delta_solves + len(counts) <= 160
-    assert len(tight) <= 5 * n
+    assert len(sweeps) > 0 and len(sweeps) + len(angles) <= 160
+    assert 0 < len(tight) <= 5 * n
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-4])
+@pytest.mark.parametrize("search", [
+    lambda tol: eig_selfadjoint(VROBIN, math.pi, AnglePair(0.9, 2.2), 10,
+                                tol),
+    lambda tol: eig_rectangle(VROBIN, math.pi, AnglePair(0.9, 2.2),
+                              (-2.0, 20.0, -1.0, 1.0), tol),
+], ids=["eig_selfadjoint", "eig_rectangle"])
+def test_no_delta_sweep_is_repeated(search, tol, monkeypatch):
+    # at tol >= 1e-6 the scan runs at tol itself: one memo serves both
+    _, sweeps = _record_search_work(monkeypatch)
+    assert len(search(tol)) > 0
+    assert len(sweeps) > 0 and len(set(sweeps)) == len(sweeps)
+
+
+VSTEP = PotentialSpec.piecewise_constant([0.7, 2.0], [1.5, -3.0, 0.4],
+                                        math.pi)
+
+
+@pytest.mark.parametrize("V, tol, bound", [
+    (VFREE, 1e-10, 1e-12),
+    (VSTEP, 1e-10, 1e-12),
+    (VBUMP, 1e-10, 1e-8),
+    (VBUMP, 1e-6, 1e-4),
+], ids=["zero", "piecewise_constant", "sampled", "sampled-loose"])
+@pytest.mark.parametrize("pair", [AnglePair(0.7, 2.1),
+                                  AnglePair(0.3 + 0.2j, 1.1 - 0.4j)],
+                         ids=["real", "complex"])
+@pytest.mark.parametrize("z", [-4.1, 0.37, 5.3, 2.0 + 3.0j, 40.0 - 1.5j])
+def test_delta_from_uminus_matches_fundamental_system(V, tol, bound, pair, z):
+    # W(~u+, ~u-) = cos thetaR ~u-(R) - sin thetaR ~u-'(R) = char_det
+    ref = char_det(V, z, pair.theta0, pair.thetaR, tol)
+    got = unscale(*_delta_fn(V, pair, tol)(z))
+    assert abs(got - ref) <= bound * abs(ref)
+
+
+def test_delta_from_uminus_at_large_z():
+    # at z = 1e6i Delta ~ e^2221 leaves double range: compare mantissas
+    # and log scales
+    z = 1e6j
+    fs = fundamental_system(VSTEP, z, VSTEP.R)
+    for pair in (AnglePair(0.0, 0.0), AnglePair(0.7, 2.1),
+                 AnglePair(0.3 + 0.2j, 1.1 - 0.4j)):
+        m, g = _delta_fn(VSTEP, pair, 1e-10)(z)
+        ref = delta_from_fs(fs, pair.theta0, pair.thetaR)
+        assert g > 2000.0
+        assert abs(g - fs.log_scale) <= 1e-12 * g
+        assert abs(m * math.exp(g - fs.log_scale) - ref) <= 1e-12 * abs(ref)
 
 
 def test_search_failures_are_typed(monkeypatch):
